@@ -53,7 +53,10 @@ SubprocessResult run_subprocess(const std::vector<std::string>& argv,
     throw std::runtime_error("run_subprocess: fork failed");
   }
   if (pid == 0) {
-    // Child. setenv/open are not async-signal-safe in theory; in
+    // Child. Its own process group, so a timeout signal reaches every
+    // process it starts, not just this one.
+    ::setpgid(0, 0);
+    // setenv/open are not async-signal-safe in theory; in
     // practice every scheduler-shaped tool does exactly this between
     // fork and exec, and the parent is single-purpose at this point.
     for (const auto& [key, value] : opts.env) {
@@ -66,33 +69,50 @@ SubprocessResult run_subprocess(const std::vector<std::string>& argv,
                  std::strerror(errno));
     _exit(127);
   }
+  // Also set it from the parent: whichever side runs first wins, so the
+  // group exists before the first kill(-pid) below. EACCES (the child
+  // already exec'd) means the child's own call succeeded.
+  ::setpgid(pid, pid);
 
   // Parent: poll with WNOHANG so the timeout clock keeps running, then
-  // escalate SIGTERM -> SIGKILL. After SIGKILL the final wait is
-  // unconditional -- SIGKILL cannot be ignored, so it terminates.
+  // escalate SIGTERM -> SIGKILL on the child's whole process group.
+  // WNOWAIT leaves the exited child a zombie, which keeps its pid (and so
+  // the group id) from being reused until the group is cleaned up below.
   SubprocessResult result;
   bool sent_term = false;
   bool sent_kill = false;
   double kill_deadline = 0.0;
-  int status = 0;
   for (;;) {
-    const pid_t r = ::waitpid(pid, &status, WNOHANG);
-    if (r == pid) break;
-    if (r < 0 && errno != EINTR) {
-      throw std::runtime_error("run_subprocess: waitpid failed");
+    siginfo_t info{};
+    if (::waitid(P_PID, static_cast<id_t>(pid), &info,
+                 WEXITED | WNOHANG | WNOWAIT) < 0) {
+      if (errno != EINTR) {
+        throw std::runtime_error("run_subprocess: waitid failed");
+      }
+    } else if (info.si_pid == pid) {
+      break;
     }
     const double elapsed = seconds_since(t0);
     if (opts.timeout_seconds > 0.0 && !sent_term &&
         elapsed >= opts.timeout_seconds) {
-      ::kill(pid, SIGTERM);
+      ::kill(-pid, SIGTERM);
       sent_term = true;
       result.timed_out = true;
       kill_deadline = elapsed + opts.term_grace_seconds;
     } else if (sent_term && !sent_kill && elapsed >= kill_deadline) {
-      ::kill(pid, SIGKILL);
+      ::kill(-pid, SIGKILL);
       sent_kill = true;
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  // The child has exited; nothing it started may outlive it (ESRCH when
+  // the group is already empty).
+  ::kill(-pid, SIGKILL);
+  int status = 0;
+  while (::waitpid(pid, &status, 0) < 0) {
+    if (errno != EINTR) {
+      throw std::runtime_error("run_subprocess: waitpid failed");
+    }
   }
 
   result.seconds = seconds_since(t0);

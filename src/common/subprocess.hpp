@@ -2,7 +2,10 @@
 // tool that shells a worker): fork/exec with output redirection, extra
 // environment variables, and a wall-clock timeout enforced by SIGTERM
 // with escalation to SIGKILL -- a worker that ignores SIGTERM (a hung
-// simulation, an injected hang fault) still dies on schedule.
+// simulation, an injected hang fault) still dies on schedule. The child
+// runs in its own process group; signals go to the whole group, and
+// whatever is left of the group when the child exits is killed, so no
+// grandchild outlives the call.
 #pragma once
 
 #include <string>
@@ -18,8 +21,9 @@ struct SubprocessOptions {
   /// Redirect targets; empty = inherit the parent's stream.
   std::string stdout_path;
   std::string stderr_path;
-  /// Wall-clock budget; 0 = unlimited. On expiry the child gets SIGTERM,
-  /// then SIGKILL `term_grace_seconds` later if it is still alive.
+  /// Wall-clock budget; 0 = unlimited. On expiry the child's process
+  /// group gets SIGTERM, then SIGKILL `term_grace_seconds` later if the
+  /// child is still alive.
   double timeout_seconds = 0.0;
   double term_grace_seconds = 2.0;
 };

@@ -229,7 +229,8 @@ class GlobalManager {
   /// order, victim set, current record), epoch history, budget and the
   /// budgeter's own state (GuardedBudgeter trust bands). The attached
   /// detector/recorder/response pointers are wiring and are not captured;
-  /// their state is owned and checkpointed by the campaign layer.
+  /// their owner (the campaign layer) snapshots them through their own
+  /// save_state.
   [[nodiscard]] json::Value save_state() const {
     json::Object o;
     o["budget_mw"] = common::ju64(budget_mw_);

@@ -5,9 +5,8 @@
 // Checkpointing: components schedule serializable events (EventDesc) and
 // register a handler per (kind, node); save_state() captures the clock
 // and the pending descriptors, load_state() restores them against the
-// handlers currently registered. Closure events (schedule_in/at with a
-// bare lambda) still work for throwaway drivers but make the engine
-// unsnapshottable -- save_state() throws if one is pending.
+// handlers currently registered. Every event is a descriptor, so the
+// engine is snapshottable at any cycle boundary.
 #pragma once
 
 #include <cstdint>
@@ -46,28 +45,22 @@ class Engine {
   /// the engine's lifetime.
   void add_tickable(Tickable* t) { tickables_.push_back(t); }
 
-  /// Schedules `fn` to run `delay` cycles from now (0 = end of this cycle).
-  void schedule_in(Cycle delay, EventFn fn) {
-    events_.schedule(now_ + delay, std::move(fn));
-  }
-
-  /// Schedules `fn` at absolute cycle `when`; times already in the past
-  /// are clamped to the current cycle (the event still runs, late).
-  void schedule_at(Cycle when, EventFn fn) {
-    events_.schedule(when < now_ ? now_ : when, std::move(fn));
-  }
-
   /// Registers the handler fired for descriptor events matching `kind`
   /// and `node` (node -1 registers a kind-wide wildcard, matched when no
   /// exact (kind, node) entry exists). Re-registering replaces.
   void set_handler(EventKind kind, std::int32_t node, EventHandler fn);
 
-  /// Schedules a serializable event. Requires a matching handler at
-  /// *execution* time, not at scheduling time.
+  /// Schedules an event `delay` cycles from now (0 = end of this cycle).
+  /// Requires a matching handler at *execution* time, not at scheduling
+  /// time.
   void schedule_desc_in(Cycle delay, const EventDesc& desc) {
     schedule_desc_at(now_ + delay, desc);
   }
-  void schedule_desc_at(Cycle when, const EventDesc& desc);
+  /// Schedules an event at absolute cycle `when`; times already in the
+  /// past are clamped to the current cycle (the event still runs, late).
+  void schedule_desc_at(Cycle when, const EventDesc& desc) {
+    events_.schedule(when < now_ ? now_ : when, desc);
+  }
 
   /// Resolves and fires the handler for `desc`; throws std::runtime_error
   /// when none is registered (a wiring bug, not a data error).
@@ -86,7 +79,7 @@ class Engine {
   }
 
   /// {"now": u64-string, "events": [[when, kind, node, a, b], ...]} with
-  /// events in firing order. Throws if a closure-only event is pending.
+  /// events in firing order.
   [[nodiscard]] json::Value save_state() const;
 
   /// Restores the clock and re-schedules the saved descriptor events (in

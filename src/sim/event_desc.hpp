@@ -1,10 +1,10 @@
 // Serializable event descriptors: the bridge between the event queue and
-// checkpointing. A closure cannot be written to disk, so every event that
-// can be pending at a snapshot point is scheduled as an EventDesc -- a
-// (kind, node, payload) tuple -- and the owning component registers a
-// handler for its (kind, node) with the engine. Dispatch resolves the
-// handler at execution time, so a restored queue fires into the handlers
-// of the restored (or freshly constructed) components.
+// checkpointing. A closure cannot be written to disk, so every event is
+// scheduled as an EventDesc -- a (kind, node, payload) tuple -- and the
+// owning component registers a handler for its (kind, node) with the
+// engine. Dispatch resolves the handler at execution time, so a restored
+// queue fires into the handlers of the restored (or freshly constructed)
+// components.
 #pragma once
 
 #include <cstdint>

@@ -1,13 +1,18 @@
 // run_subprocess contract: exit codes and output capture, env plumbing,
-// the SIGTERM -> SIGKILL timeout escalation, and exec-failure reporting.
+// the SIGTERM -> SIGKILL timeout escalation (grandchildren included), and
+// exec-failure reporting.
 #include "common/subprocess.hpp"
 
 #include <gtest/gtest.h>
 
+#include <sys/types.h>
+
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 
 namespace {
 
@@ -38,6 +43,44 @@ std::string slurp(const fs::path& p) {
   std::ostringstream ss;
   ss << in.rdbuf();
   return ss.str();
+}
+
+/// True once `pid` is gone or a zombie (a killed orphan waits for its new
+/// parent to reap it). Polls for up to two seconds.
+bool process_dead(pid_t pid) {
+  for (int i = 0; i < 400; ++i) {
+    std::ifstream stat("/proc/" + std::to_string(pid) + "/stat");
+    if (!stat) return true;
+    std::string line;
+    std::getline(stat, line);
+    // Field 3, after the parenthesised command name, is the state.
+    const std::size_t close = line.rfind(')');
+    if (close == std::string::npos || close + 2 >= line.size() ||
+        line[close + 2] == 'Z') {
+      return true;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return false;
+}
+
+/// Runs `script` under a short timeout; it must write the pid of a
+/// long-sleeping grandchild to $PIDFILE. Returns that pid.
+pid_t grandchild_of_timed_out_run(const std::string& script,
+                                  double term_grace_seconds) {
+  const TempDir dir;
+  const fs::path pidfile = dir.path() / "grandchild.pid";
+  SubprocessOptions opts;
+  opts.env = {{"PIDFILE", pidfile.string()}};
+  opts.timeout_seconds = 0.3;
+  opts.term_grace_seconds = term_grace_seconds;
+  const SubprocessResult r = run_subprocess({"/bin/sh", "-c", script}, opts);
+  EXPECT_TRUE(r.timed_out);
+  EXPECT_LT(r.seconds, 10.0);
+  std::istringstream in(slurp(pidfile));
+  long long pid = 0;
+  in >> pid;
+  return static_cast<pid_t>(pid);
 }
 
 TEST(Subprocess, CapturesStreamsAndExitCode) {
@@ -86,6 +129,24 @@ TEST(Subprocess, TermIgnoringChildIsKilledAfterGrace) {
       run_subprocess({"/bin/sh", "-c", "trap '' TERM; sleep 30"}, opts);
   EXPECT_TRUE(r.timed_out);
   EXPECT_LT(r.seconds, 10.0);
+}
+
+TEST(Subprocess, TimeoutKillsTermIgnoringGrandchild) {
+  // Child and grandchild both ignore SIGTERM; the KILL escalation must
+  // reach the grandchild too, not only the child.
+  const pid_t grandchild = grandchild_of_timed_out_run(
+      "trap '' TERM; sleep 30 & echo $! > \"$PIDFILE\"; wait", 0.3);
+  ASSERT_GT(grandchild, 0);
+  EXPECT_TRUE(process_dead(grandchild));
+}
+
+TEST(Subprocess, NoGrandchildOutlivesAChildThatDiesOnTerm) {
+  // The child dies on SIGTERM at once, leaving a TERM-ignoring
+  // grandchild behind; it must not survive the call.
+  const pid_t grandchild = grandchild_of_timed_out_run(
+      "(trap '' TERM; exec sleep 30) & echo $! > \"$PIDFILE\"; wait", 30.0);
+  ASSERT_GT(grandchild, 0);
+  EXPECT_TRUE(process_dead(grandchild));
 }
 
 TEST(Subprocess, ChildKilledByItsOwnSignalIsACrash) {

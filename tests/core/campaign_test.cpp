@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "core/infection.hpp"
 #include "core/placement.hpp"
 #include "workload/application.hpp"
@@ -138,6 +141,19 @@ TEST(AttackCampaign, BaselinePhiExposesSensitivitySpread) {
   ASSERT_EQ(phis.size(), 4U);
   // mix-1: blackscholes (victim index 2) must dominate canneal (index 1).
   EXPECT_GT(phis[2], phis[1]);
+}
+
+TEST(AttackCampaign, EveryLegSimulatesItsOwnWarmup) {
+  AttackCampaign campaign(fast_config());
+  const std::uint64_t systems0 = AttackCampaign::systems_simulated();
+  const std::uint64_t warmup0 = AttackCampaign::warmup_epochs_simulated();
+  const std::vector<NodeId> hts = {campaign.gm_node()};
+  (void)campaign.run(hts);  // baseline + attacked run: two legs
+  (void)campaign.run(hts);  // cached baseline: one more leg
+  const std::uint64_t systems = AttackCampaign::systems_simulated() - systems0;
+  EXPECT_EQ(systems, 3U);
+  EXPECT_EQ(AttackCampaign::warmup_epochs_simulated() - warmup0,
+            systems * static_cast<std::uint64_t>(fast_config().warmup_epochs));
 }
 
 TEST(AttackCampaign, MoreAppsThanCoresRejected) {

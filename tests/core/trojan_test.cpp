@@ -163,6 +163,38 @@ TEST(HardwareTrojan, MinimumOneMilliwattAfterScaling) {
   EXPECT_EQ(req.payload, 1U);
 }
 
+TEST(HardwareTrojan, SaveLoadRoundTripRewritesIdentically) {
+  HardwareTrojan original(5);
+  auto cfg = config_packet(9, {2, 7}, true, 0.3, 2.5);
+  original.inspect(cfg, 5, 0);
+  auto warm = power_request(1, 9, 1500);
+  original.inspect(warm, 5, 1);  // non-zero counters go through the snapshot
+
+  HardwareTrojan restored(5);
+  restored.load_state(original.save_state());
+  EXPECT_TRUE(restored.configured());
+  EXPECT_TRUE(restored.active());
+  EXPECT_EQ(restored.global_manager(), 9U);
+  EXPECT_EQ(restored.attacker_agents(), (std::vector<NodeId>{2, 7}));
+  EXPECT_EQ(json::dump(restored.save_state()),
+            json::dump(original.save_state()));
+
+  for (const NodeId src : {NodeId{1}, NodeId{7}}) {
+    auto a = power_request(src, 9, 2000);
+    auto b = power_request(src, 9, 2000);
+    original.inspect(a, 5, 2);
+    restored.inspect(b, 5, 2);
+    EXPECT_EQ(a.payload, b.payload) << "src " << src;
+    EXPECT_EQ(a.tampered, b.tampered) << "src " << src;
+    EXPECT_EQ(a.boosted, b.boosted) << "src " << src;
+    EXPECT_EQ(a.original_payload, b.original_payload) << "src " << src;
+  }
+  EXPECT_EQ(restored.stats().victim_requests_modified, 2U);
+  EXPECT_EQ(restored.stats().attacker_requests_boosted, 1U);
+  EXPECT_EQ(json::dump(restored.save_state()),
+            json::dump(original.save_state()));
+}
+
 TEST(HardwareTrojan, EndToEndOverMesh) {
   // Trojan in a transit router modifies a request in flight; a request
   // routed around it stays clean.

@@ -172,7 +172,6 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (quick || std::getenv("HTPB_QUICK") != nullptr) quick = true;
 
   struct Sized {
     int size;

@@ -75,9 +75,10 @@ std::vector<DefenseCurvePoint> DefenseSweep::run(
 
   // Clean arm (false positives): Trojans implanted but dormant, so the
   // manager sees honest traffic -- identical dynamics for every operating
-  // point. One dormant recording, replayed through the whole grid.
-  std::vector<std::optional<power::DetectorReport>> clean;
-  if (cfg_.measure_false_positives && !cfg_.placements.front().empty()) {
+  // point. One dormant recording, replayed through the whole grid; with
+  // no Trojans implanted there is nothing to report.
+  std::vector<std::optional<power::DetectorReport>> clean(d_count);
+  if (!cfg_.placements.front().empty()) {
     CampaignConfig clean_cfg = cfg_.base;
     clean_cfg.detector.reset();
     clean_cfg.response.reset();
@@ -90,8 +91,6 @@ std::vector<DefenseCurvePoint> DefenseSweep::run(
       return std::optional{power::replay_detector(
           clean_trace, cfg_.detectors[d], cfg_.base.detector_factory)};
     });
-  } else if (cfg_.measure_false_positives) {
-    clean.resize(d_count);  // no Trojans implanted -> no reports
   }
 
   // Guard arm: the GuardedBudgeter changes the dynamics (and therefore
@@ -112,30 +111,6 @@ std::vector<DefenseCurvePoint> DefenseSweep::run(
         });
     guarded = runner.map(d_count * p_count, [&](std::size_t i) {
       AttackCampaign clone(*guard_masters[i / p_count]);
-      return clone.run(cfg_.placements[i % p_count]);
-    });
-  }
-
-  // Response arm: closed-loop policies act on the grant stream, so --
-  // like the guard, unlike passive detection -- each (detector, response)
-  // pair changes the dynamics and gets its own primed master before its
-  // placements fan out. The policy only engages on attacked runs, so the
-  // baseline matches the plain arm's.
-  const std::size_t r_count = cfg_.responses.size();
-  std::vector<CampaignOutcome> responded;
-  if (r_count > 0) {
-    const auto response_masters =
-        runner.map(d_count * r_count, [&](std::size_t i) {
-          CampaignConfig response_cfg = cfg_.base;
-          response_cfg.detector = cfg_.detectors[i / r_count];
-          response_cfg.response = cfg_.response_base;
-          response_cfg.response->kind = cfg_.responses[i % r_count];
-          auto m = std::make_shared<AttackCampaign>(response_cfg);
-          m->prime_baseline();
-          return m;
-        });
-    responded = runner.map(d_count * r_count * p_count, [&](std::size_t i) {
-      AttackCampaign clone(*response_masters[i / p_count]);
       return clone.run(cfg_.placements[i % p_count]);
     });
   }
@@ -190,8 +165,7 @@ std::vector<DefenseCurvePoint> DefenseSweep::run(
     if (latency_n > 0) pt.mean_detection_latency = latency_sum / latency_n;
     if (q_n > 0) pt.mean_q_plain = q_sum / q_n;
 
-    if (cfg_.measure_false_positives && clean[d].has_value() &&
-        cores.total() > 0) {
+    if (clean[d].has_value() && cores.total() > 0) {
       const power::DetectorReport& rep = *clean[d];
       pt.false_positive_rate =
           static_cast<double>(rep.unique_flagged()) / cores.total();
@@ -207,42 +181,6 @@ std::vector<DefenseCurvePoint> DefenseSweep::run(
         }
       }
       if (gq_n > 0) pt.mean_q_guarded = gq_sum / gq_n;
-    }
-    if (r_count > 0) {
-      pt.responses.resize(r_count);
-      for (std::size_t r = 0; r < r_count; ++r) {
-        ResponseCurvePoint& rp = pt.responses[r];
-        rp.kind = cfg_.responses[r];
-        double rq_sum = 0.0;
-        int rq_n = 0;
-        double rec_sum = 0.0;
-        int rec_n = 0;
-        for (std::size_t p = 0; p < p_count; ++p) {
-          const CampaignOutcome& o =
-              responded[(d * r_count + r) * p_count + p];
-          if (o.q_valid) {
-            rq_sum += o.q;
-            ++rq_n;
-          }
-          if (o.response.has_value()) {
-            const ResponseOutcome& ro = *o.response;
-            rp.mean_sanctioned += ro.sanctioned_cores.size();
-            rp.mean_collateral += ro.collateral;
-            rp.mean_victim_grant_recovery += ro.victim_grant_recovery;
-            rp.mean_migrations += ro.migrations;
-            if (ro.epochs_to_recovery >= 0) {
-              rec_sum += ro.epochs_to_recovery;
-              ++rec_n;
-            }
-          }
-        }
-        if (rq_n > 0) rp.mean_q = rq_sum / rq_n;
-        rp.mean_sanctioned /= denom;
-        rp.mean_collateral /= denom;
-        rp.mean_victim_grant_recovery /= denom;
-        rp.mean_migrations /= denom;
-        if (rec_n > 0) rp.mean_epochs_to_recovery = rec_sum / rec_n;
-      }
     }
   }
   return curve;

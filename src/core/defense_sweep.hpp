@@ -35,7 +35,6 @@
 #include "core/campaign.hpp"
 #include "core/parallel_sweep.hpp"
 #include "power/defense.hpp"
-#include "power/response.hpp"
 
 namespace htpb::core {
 
@@ -52,20 +51,6 @@ struct DefenseSweepConfig {
   /// Also run a GuardedBudgeter arm per operating point (same trust band
   /// as the detector) and report the residual attack effect Q.
   bool evaluate_guard = true;
-  /// Also run a clean arm per operating point (Trojans implanted but kept
-  /// dormant, so traffic is honest) and report false positives.
-  bool measure_false_positives = true;
-  /// Closed-loop response axis: for each response kind listed, every
-  /// (detector, placement) cell re-runs with that policy engaged
-  /// (power/response.hpp) and reports the recovery/collateral tradeoff.
-  /// Responses perturb the dynamics, so -- unlike the detection arm --
-  /// every cell is a fresh simulation: O(detectors x responses x
-  /// placements) systems. Empty (the default) = axis off, and the sweep's
-  /// simulation count stays the trace-replay-test-locked O(placements).
-  std::vector<power::ResponseKind> responses;
-  /// Trigger/sanction/recovery parameters shared by every response arm
-  /// (the kind comes from `responses`).
-  power::ResponseConfig response_base;
 };
 
 /// One (detector, placement) evaluation.
@@ -78,20 +63,6 @@ struct DefenseCell {
   double attacker_flag_rate = 0.0;  ///< flagged_high / attacker cores
 };
 
-/// One response policy's aggregate at one detector operating point
-/// (means over placements).
-struct ResponseCurvePoint {
-  power::ResponseKind kind = power::ResponseKind::kQuarantine;
-  /// Mean residual Q with the policy engaged (compare mean_q_plain).
-  double mean_q = 0.0;
-  double mean_sanctioned = 0.0;
-  double mean_collateral = 0.0;
-  double mean_victim_grant_recovery = 0.0;
-  /// Mean over the cells that recovered; -1 when none did.
-  double mean_epochs_to_recovery = -1.0;
-  double mean_migrations = 0.0;
-};
-
 /// The reduced curve point for one detector operating point.
 struct DefenseCurvePoint {
   power::DetectorConfig detector;
@@ -99,7 +70,8 @@ struct DefenseCurvePoint {
   double detection_rate = 0.0;
   double victim_flag_rate = 0.0;
   double attacker_flag_rate = 0.0;
-  /// Clean-traffic flags / monitored cores (0 when the arm is disabled).
+  /// Clean-traffic flags / monitored cores (Trojans implanted but kept
+  /// dormant, so traffic is honest).
   double false_positive_rate = 0.0;
   /// Mean epochs to the first confirmed flag over the cells that detected
   /// anything; -1 when no cell ever flagged.
@@ -111,9 +83,6 @@ struct DefenseCurvePoint {
   /// (0 when the guard arm is disabled).
   double mean_q_guarded = 0.0;
   std::vector<DefenseCell> cells;  ///< per placement, in placement order
-  /// Per response kind, in DefenseSweepConfig::responses order (empty
-  /// when the response axis is off).
-  std::vector<ResponseCurvePoint> responses;
 };
 
 class DefenseSweep {

@@ -1,6 +1,7 @@
 #include "scenario/cells.hpp"
 
 #include <cstdio>
+#include <span>
 #include <stdexcept>
 
 #include "power/budgeter.hpp"
@@ -57,6 +58,23 @@ void require_cell_count(std::size_t expected, std::size_t got) {
   }
 }
 
+/// One group of a two-level sweep (fig3's arm, fig4's divisor): `head`
+/// plus the rows of the group's cells, whose `key` array holds their
+/// slice (one group with one row each).
+[[nodiscard]] json::Value regroup(json::Object head, const char* key,
+                                  std::span<const json::Value> cells) {
+  json::Array rows;
+  for (const json::Value& cell : cells) {
+    const json::Value* slices = member(cell, key);
+    if (slices == nullptr || !slices->is_array()) continue;
+    for (const json::Value& slice : slices->as_array()) {
+      append_elements(rows, slice, "rows");
+    }
+  }
+  head["rows"] = json::Value(std::move(rows));
+  return json::Value(std::move(head));
+}
+
 }  // namespace
 
 std::vector<CellPlan> expand_cells(const ScenarioSpec& resolved) {
@@ -101,10 +119,10 @@ std::vector<CellPlan> expand_cells(const ScenarioSpec& resolved) {
       break;
 
     case ScenarioKind::kPlacementStudy:
-      // The runner keys each mix's stream as Rng(seed + mix_index). A
-      // cell sees its mix at local index 0, so rebasing the cell's seed
-      // by the global index reproduces the stream exactly. system.seed
-      // (the workload streams) is deliberately left alone.
+      // Mix i's stream is Rng(seed + i). The runner draws a cell's one
+      // mix from Rng(cell seed), so rebasing the cell's seed by the
+      // global index reproduces the stream exactly. system.seed (the
+      // workload streams) is deliberately left alone.
       for (std::size_t mix_i = 0; mix_i < resolved.workload.mixes.size();
            ++mix_i) {
         ScenarioSpec cell = cell_base(resolved);
@@ -151,6 +169,17 @@ json::Value merge_cell_results(const ScenarioSpec& resolved, bool quick,
   envelope["seed"] = json::Value(static_cast<long long>(resolved.seed));
   envelope["threads"] = json::Value(threads);
 
+  // The one-level sweeps: each cell's `key` array is its slice.
+  const auto concat = [&](const char* key, std::size_t expected) {
+    require_cell_count(expected, cell_results.size());
+    json::Array all;
+    for (const json::Value& cell : cell_results) {
+      append_elements(all, cell, key);
+    }
+    envelope[key] = json::Value(std::move(all));
+  };
+  const std::span<const json::Value> cells(cell_results);
+
   switch (resolved.kind) {
     case ScenarioKind::kInfectionVsHtCount: {
       std::size_t expected = 0;
@@ -161,43 +190,26 @@ json::Value merge_cell_results(const ScenarioSpec& resolved, bool quick,
       std::size_t k = 0;
       json::Array arms;
       for (const InfectionArm& arm : resolved.axes.arms) {
-        json::Array rows;
-        for (std::size_t h = 0; h < arm.ht_counts.size(); ++h) {
-          const json::Value* cell_arms = member(cell_results[k++], "arms");
-          if (cell_arms == nullptr || !cell_arms->is_array()) continue;
-          for (const json::Value& cell_arm : cell_arms->as_array()) {
-            append_elements(rows, cell_arm, "rows");
-          }
-        }
-        json::Object arm_out;
-        arm_out["nodes"] = json::Value(arm.nodes);
-        arm_out["rows"] = json::Value(std::move(rows));
-        arms.push_back(json::Value(std::move(arm_out)));
+        json::Object head;
+        head["nodes"] = json::Value(arm.nodes);
+        arms.push_back(regroup(std::move(head), "arms",
+                               cells.subspan(k, arm.ht_counts.size())));
+        k += arm.ht_counts.size();
       }
       envelope["arms"] = json::Value(std::move(arms));
       break;
     }
 
     case ScenarioKind::kInfectionVsDistribution: {
-      require_cell_count(
-          resolved.axes.ht_divisors.size() * resolved.axes.sizes.size(),
-          cell_results.size());
-      std::size_t k = 0;
+      const std::size_t sizes = resolved.axes.sizes.size();
+      require_cell_count(resolved.axes.ht_divisors.size() * sizes,
+                         cell_results.size());
       json::Array divisors;
-      for (const int divisor : resolved.axes.ht_divisors) {
-        json::Array rows;
-        for (std::size_t s = 0; s < resolved.axes.sizes.size(); ++s) {
-          const json::Value* cell_divs =
-              member(cell_results[k++], "divisors");
-          if (cell_divs == nullptr || !cell_divs->is_array()) continue;
-          for (const json::Value& cell_div : cell_divs->as_array()) {
-            append_elements(rows, cell_div, "rows");
-          }
-        }
-        json::Object d;
-        d["divisor"] = json::Value(divisor);
-        d["rows"] = json::Value(std::move(rows));
-        divisors.push_back(json::Value(std::move(d)));
+      for (std::size_t d = 0; d < resolved.axes.ht_divisors.size(); ++d) {
+        json::Object head;
+        head["divisor"] = json::Value(resolved.axes.ht_divisors[d]);
+        divisors.push_back(regroup(std::move(head), "divisors",
+                                   cells.subspan(d * sizes, sizes)));
       }
       envelope["divisors"] = json::Value(std::move(divisors));
       break;
@@ -205,39 +217,19 @@ json::Value merge_cell_results(const ScenarioSpec& resolved, bool quick,
 
     case ScenarioKind::kAttackEffect:
     case ScenarioKind::kPerformanceChange:
-    case ScenarioKind::kPlacementStudy: {
-      require_cell_count(resolved.workload.mixes.size(), cell_results.size());
-      json::Array mixes;
-      for (const json::Value& cell : cell_results) {
-        append_elements(mixes, cell, "mixes");
-      }
-      envelope["mixes"] = json::Value(std::move(mixes));
+    case ScenarioKind::kPlacementStudy:
+      concat("mixes", resolved.workload.mixes.size());
       break;
-    }
 
-    case ScenarioKind::kDefenseEvaluation: {
-      require_cell_count(resolved.workload.mixes.size(), cell_results.size());
-      json::Array rows;
-      for (const json::Value& cell : cell_results) {
-        append_elements(rows, cell, "rows");
-      }
-      envelope["rows"] = json::Value(std::move(rows));
+    case ScenarioKind::kDefenseEvaluation:
+      concat("rows", resolved.workload.mixes.size());
       break;
-    }
 
-    case ScenarioKind::kBudgeterAblation: {
-      require_cell_count(resolved.axes.budgeters.size(), cell_results.size());
-      json::Array rows;
-      for (const json::Value& cell : cell_results) {
-        append_elements(rows, cell, "rows");
-      }
-      envelope["rows"] = json::Value(std::move(rows));
+    case ScenarioKind::kBudgeterAblation:
+      concat("rows", resolved.axes.budgeters.size());
       break;
-    }
 
     case ScenarioKind::kDefenseClosedLoop: {
-      require_cell_count(resolved.axes.placements.size(),
-                         cell_results.size());
       // attacker_cores is placement-invariant; take it from the first
       // surviving cell. duty_comparison is defined on the FIRST
       // placement's arms, so only cell 0 can supply it.
@@ -249,11 +241,7 @@ json::Value merge_cell_results(const ScenarioSpec& resolved, bool quick,
       if (attacker_cores != nullptr) {
         envelope["attacker_cores"] = *attacker_cores;
       }
-      json::Array arms;
-      for (const json::Value& cell : cell_results) {
-        append_elements(arms, cell, "arms");
-      }
-      envelope["arms"] = json::Value(std::move(arms));
+      concat("arms", resolved.axes.placements.size());
       if (!cell_results.empty()) {
         if (const json::Value* comparison =
                 member(cell_results.front(), "duty_comparison")) {

@@ -1,30 +1,28 @@
-// Campaign cell expansion for the fleet service: slice a resolved
-// ScenarioSpec along its outermost *independent* sweep axis into
-// self-contained single-slice specs, and reassemble the slice results
-// into the exact tree run_scenario would have produced in one process.
+// Campaign cells: slice a resolved ScenarioSpec along its outermost
+// independent sweep axis into self-contained single-slice specs, and
+// reassemble the slice results into one tree. This is every scenario's
+// run path: run_scenario runs the cells in order in one process and
+// htpb_fleet runs each in a crash-isolated htpb_run worker; both merge
+// with merge_cell_results, and a one-cell tree merges to itself, so
+// split + merge == whole (minus "timing") by construction.
 //
-// The split axis per kind follows the runner's stochastic contract
-// (scenario/runner.cpp documents each): only axes whose RNG streams are
-// value-keyed -- or re-keyable by rebasing the cell's seed -- are split,
-// so `merge_cell_results` over the cells is bit-identical (minus the
-// "timing" object) to a single `run_scenario` of the full spec.
+// Only axes whose RNG streams are value-keyed -- or re-keyable by
+// rebasing the cell's seed -- are split:
 //
 //   kInfectionVsHtCount       cell per (arm, ht)   Rng(seed + s*77 + ht)
 //   kInfectionVsDistribution  cell per (div, size) Rng(seed + s*13 + size)
 //   kAttackEffect             cell per mix         serial Rng(seed) per mix
 //   kPerformanceChange        cell per mix         (same sweep)
-//   kPlacementStudy           cell per mix         Rng(seed + mix_i): the
-//                             cell's seed is REBASED to seed + mix_i so
-//                             its local index 0 lands on the same stream
+//   kPlacementStudy           cell per mix         seed REBASED to
+//                             seed + mix_i, so the cell's Rng(seed) is
+//                             the whole sweep's Rng(seed + mix_i)
 //   kDefenseEvaluation        cell per mix
 //   kBudgeterAblation         cell per budgeter
-//   kDefenseClosedLoop        cell per placement (the adaptive and
-//                             response axes are runner-internal)
+//   kDefenseClosedLoop        cell per placement
 //   everything else           one cell (kDefenseSweep's record-once/
-//                             replay-many trace reuse and its
-//                             systems_simulated counters, and
-//                             kAttackComparison's shared clean-arm state,
-//                             are not shardable without changing output)
+//                             replay-many trace reuse and
+//                             kAttackComparison's shared clean arm do not
+//                             shard without changing output)
 #pragma once
 
 #include <string>

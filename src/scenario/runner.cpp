@@ -18,6 +18,7 @@
 #include "core/parallel_sweep.hpp"
 #include "core/placement.hpp"
 #include "noc/network.hpp"
+#include "scenario/cells.hpp"
 #include "sim/engine.hpp"
 #include "system/manycore_system.hpp"
 #include "workload/application.hpp"
@@ -124,238 +125,220 @@ namespace {
 
 // ------------------------------------------------------------ per kind
 
-/// Fig. 3. Stochastic contract (= the legacy bench): random placements
-/// for cell (seed index s, #HTs h) draw from Rng(seed + s*77 + h); the
-/// default seed 1000 reproduces the pre-registry bench bit for bit.
+/// The payload `{key: [item]}` of a single-slice cell; merge_cell_results
+/// concatenates these back into the full axis.
+[[nodiscard]] json::Value one_slice(const char* key, json::Object item) {
+  json::Object payload;
+  payload[key] = json::Value(json::Array{json::Value(std::move(item))});
+  return json::Value(std::move(payload));
+}
+
+/// Fig. 3, one (arm, HT count) cell. Stochastic contract (= the legacy
+/// bench): random placements for (seed index s, #HTs h) draw from
+/// Rng(seed + s*77 + h); the default seed 1000 reproduces the
+/// pre-registry bench bit for bit.
 json::Value run_infection_vs_ht_count(const ScenarioSpec& spec) {
-  json::Array arms;
-  for (const InfectionArm& arm : spec.axes.arms) {
-    json::Array rows;
-    for (const int hts : arm.ht_counts) {
-      json::Array cells;
-      for (const system::GmPlacement gm : spec.axes.gm_placements) {
-        SystemSpec sys = system_with_size(spec.system, arm.nodes);
-        sys.gm_placement = gm;
-        ScenarioSpec cell_spec = spec;
-        cell_spec.system = sys;
-        core::AttackCampaign campaign(campaign_config(cell_spec, ""));
-        const MeshGeometry geom(sys.width, sys.height);
-        const core::InfectionAnalyzer analyzer(geom, campaign.gm_node());
-        double simulated = 0.0;
-        double analytic = 0.0;
-        for (int s = 0; s < spec.axes.seeds; ++s) {
-          Rng rng(spec.seed + static_cast<std::uint64_t>(s) * 77 +
-                  static_cast<std::uint64_t>(hts));
-          const auto nodes =
-              core::random_placement(geom, hts, rng, campaign.gm_node());
-          simulated += campaign.run_infection_only(nodes);
-          analytic += analyzer.predicted_rate(nodes);
-        }
-        json::Object cell;
-        cell["gm"] = json::Value(to_string(gm));
-        cell["simulated"] = json::Value(simulated / spec.axes.seeds);
-        cell["analytic"] = json::Value(analytic / spec.axes.seeds);
-        cells.push_back(json::Value(std::move(cell)));
-      }
-      json::Object row;
-      row["hts"] = json::Value(hts);
-      row["cells"] = json::Value(std::move(cells));
-      rows.push_back(json::Value(std::move(row)));
+  const InfectionArm& arm = spec.axes.arms.front();
+  const int hts = arm.ht_counts.front();
+  json::Array cells;
+  for (const system::GmPlacement gm : spec.axes.gm_placements) {
+    SystemSpec sys = system_with_size(spec.system, arm.nodes);
+    sys.gm_placement = gm;
+    ScenarioSpec cell_spec = spec;
+    cell_spec.system = sys;
+    core::AttackCampaign campaign(campaign_config(cell_spec, ""));
+    const MeshGeometry geom(sys.width, sys.height);
+    const core::InfectionAnalyzer analyzer(geom, campaign.gm_node());
+    double simulated = 0.0;
+    double analytic = 0.0;
+    for (int s = 0; s < spec.axes.seeds; ++s) {
+      Rng rng(spec.seed + static_cast<std::uint64_t>(s) * 77 +
+              static_cast<std::uint64_t>(hts));
+      const auto nodes =
+          core::random_placement(geom, hts, rng, campaign.gm_node());
+      simulated += campaign.run_infection_only(nodes);
+      analytic += analyzer.predicted_rate(nodes);
     }
-    json::Object arm_out;
-    arm_out["nodes"] = json::Value(arm.nodes);
-    arm_out["rows"] = json::Value(std::move(rows));
-    arms.push_back(json::Value(std::move(arm_out)));
+    json::Object cell;
+    cell["gm"] = json::Value(to_string(gm));
+    cell["simulated"] = json::Value(simulated / spec.axes.seeds);
+    cell["analytic"] = json::Value(analytic / spec.axes.seeds);
+    cells.push_back(json::Value(std::move(cell)));
   }
-  json::Object payload;
-  payload["arms"] = json::Value(std::move(arms));
-  return json::Value(std::move(payload));
+  json::Object row;
+  row["hts"] = json::Value(hts);
+  row["cells"] = json::Value(std::move(cells));
+  json::Object arm_out;
+  arm_out["nodes"] = json::Value(arm.nodes);
+  arm_out["rows"] = json::Value(json::Array{json::Value(std::move(row))});
+  return one_slice("arms", std::move(arm_out));
 }
 
-/// Fig. 4. Random-placement cells draw from Rng(seed + s*13 + size);
-/// seed 500 reproduces the legacy bench.
+/// Fig. 4, one (divisor, size) cell. Random-placement trials draw from
+/// Rng(seed + s*13 + size); seed 500 reproduces the legacy bench.
 json::Value run_infection_vs_distribution(const ScenarioSpec& spec) {
-  json::Array divisors;
-  for (const int divisor : spec.axes.ht_divisors) {
-    json::Array rows;
-    for (const int size : spec.axes.sizes) {
-      const int hts = size / divisor;
-      ScenarioSpec cell_spec = spec;
-      cell_spec.system = system_with_size(spec.system, size);
-      core::AttackCampaign campaign(campaign_config(cell_spec, ""));
-      const MeshGeometry geom(cell_spec.system.width,
-                              cell_spec.system.height);
+  const int divisor = spec.axes.ht_divisors.front();
+  const int size = spec.axes.sizes.front();
+  const int hts = size / divisor;
+  ScenarioSpec cell_spec = spec;
+  cell_spec.system = system_with_size(spec.system, size);
+  core::AttackCampaign campaign(campaign_config(cell_spec, ""));
+  const MeshGeometry geom(cell_spec.system.width, cell_spec.system.height);
 
-      const auto center_nodes = core::clustered_placement(
-          geom, hts, geom.center(), campaign.gm_node());
-      const auto corner_nodes = core::clustered_placement(
-          geom, hts, MeshGeometry::corner(), campaign.gm_node());
-      const double rate_center = campaign.run_infection_only(center_nodes);
-      const double rate_corner = campaign.run_infection_only(corner_nodes);
-      double rate_random = 0.0;
-      for (int s = 0; s < spec.axes.seeds; ++s) {
-        Rng rng(spec.seed + static_cast<std::uint64_t>(s) * 13 +
-                static_cast<std::uint64_t>(size));
-        rate_random += campaign.run_infection_only(
-            core::random_placement(geom, hts, rng, campaign.gm_node()));
-      }
-      rate_random /= spec.axes.seeds;
-
-      json::Object row;
-      row["size"] = json::Value(size);
-      row["hts"] = json::Value(hts);
-      row["center"] = json::Value(rate_center);
-      row["random"] = json::Value(rate_random);
-      row["corner"] = json::Value(rate_corner);
-      rows.push_back(json::Value(std::move(row)));
-    }
-    json::Object d;
-    d["divisor"] = json::Value(divisor);
-    d["rows"] = json::Value(std::move(rows));
-    divisors.push_back(json::Value(std::move(d)));
+  const auto center_nodes = core::clustered_placement(
+      geom, hts, geom.center(), campaign.gm_node());
+  const auto corner_nodes = core::clustered_placement(
+      geom, hts, MeshGeometry::corner(), campaign.gm_node());
+  const double rate_center = campaign.run_infection_only(center_nodes);
+  const double rate_corner = campaign.run_infection_only(corner_nodes);
+  double rate_random = 0.0;
+  for (int s = 0; s < spec.axes.seeds; ++s) {
+    Rng rng(spec.seed + static_cast<std::uint64_t>(s) * 13 +
+            static_cast<std::uint64_t>(size));
+    rate_random += campaign.run_infection_only(
+        core::random_placement(geom, hts, rng, campaign.gm_node()));
   }
-  json::Object payload;
-  payload["divisors"] = json::Value(std::move(divisors));
-  return json::Value(std::move(payload));
+  rate_random /= spec.axes.seeds;
+
+  json::Object row;
+  row["size"] = json::Value(size);
+  row["hts"] = json::Value(hts);
+  row["center"] = json::Value(rate_center);
+  row["random"] = json::Value(rate_random);
+  row["corner"] = json::Value(rate_corner);
+  json::Object d;
+  d["divisor"] = json::Value(divisor);
+  d["rows"] = json::Value(json::Array{json::Value(std::move(row))});
+  return one_slice("divisors", std::move(d));
 }
 
-/// Figs. 5 and 6 share one sweep: per mix, greedy target-coverage
-/// placements off one serial Rng(seed) stream (legacy constant: 42),
-/// campaigns fanned across the pool. The result carries both the Q
-/// reduction (Fig. 5) and the per-app Theta detail (Fig. 6).
+/// Figs. 5 and 6 share one sweep, one mix per cell: greedy
+/// target-coverage placements off one serial Rng(seed) stream (legacy
+/// constant: 42), campaigns fanned across the pool. The result carries
+/// both the Q reduction (Fig. 5) and the per-app Theta detail (Fig. 6).
 json::Value run_attack_sweep(const ScenarioSpec& spec,
                              const core::ParallelSweepRunner& runner) {
-  json::Array mixes_out;
-  for (const std::string& mix_name : spec.workload.mixes) {
-    core::AttackCampaign campaign(campaign_config(spec, mix_name));
-    const MeshGeometry geom(spec.system.width, spec.system.height);
-    const core::InfectionAnalyzer analyzer(geom, campaign.gm_node());
-    Rng rng(spec.seed);
-    std::vector<std::vector<NodeId>> node_sets;
-    node_sets.reserve(spec.axes.infection_targets.size());
-    for (const double target : spec.axes.infection_targets) {
-      node_sets.push_back(analyzer.placement_for_target(
-          target, spec.axes.placement_max_hts, rng));
-    }
-    const auto outs = runner.run_node_sets(campaign, node_sets);
-
-    json::Array rows;
-    for (std::size_t t = 0; t < outs.size(); ++t) {
-      json::Object row;
-      row["target"] = json::Value(spec.axes.infection_targets[t]);
-      row["infection"] = json::Value(outs[t].infection_measured);
-      row["q"] = json::Value(outs[t].q);
-      json::Array changes;
-      for (const auto& app : outs[t].apps) {
-        changes.push_back(json::Value(app.change));
-      }
-      row["theta_change"] = json::Value(std::move(changes));
-      rows.push_back(json::Value(std::move(row)));
-    }
-    json::Object mix_out;
-    mix_out["mix"] = json::Value(mix_name);
-    mix_out["apps"] = app_list(campaign);
-    mix_out["rows"] = json::Value(std::move(rows));
-    mixes_out.push_back(json::Value(std::move(mix_out)));
+  const std::string& mix_name = spec.workload.mixes.front();
+  core::AttackCampaign campaign(campaign_config(spec, mix_name));
+  const MeshGeometry geom(spec.system.width, spec.system.height);
+  const core::InfectionAnalyzer analyzer(geom, campaign.gm_node());
+  Rng rng(spec.seed);
+  std::vector<std::vector<NodeId>> node_sets;
+  node_sets.reserve(spec.axes.infection_targets.size());
+  for (const double target : spec.axes.infection_targets) {
+    node_sets.push_back(analyzer.placement_for_target(
+        target, spec.axes.placement_max_hts, rng));
   }
-  json::Object payload;
-  payload["mixes"] = json::Value(std::move(mixes_out));
-  return json::Value(std::move(payload));
+  const auto outs = runner.run_node_sets(campaign, node_sets);
+
+  json::Array rows;
+  for (std::size_t t = 0; t < outs.size(); ++t) {
+    json::Object row;
+    row["target"] = json::Value(spec.axes.infection_targets[t]);
+    row["infection"] = json::Value(outs[t].infection_measured);
+    row["q"] = json::Value(outs[t].q);
+    json::Array changes;
+    for (const auto& app : outs[t].apps) {
+      changes.push_back(json::Value(app.change));
+    }
+    row["theta_change"] = json::Value(std::move(changes));
+    rows.push_back(json::Value(std::move(row)));
+  }
+  json::Object mix_out;
+  mix_out["mix"] = json::Value(mix_name);
+  mix_out["apps"] = app_list(campaign);
+  mix_out["rows"] = json::Value(std::move(rows));
+  return one_slice("mixes", std::move(mix_out));
 }
 
-/// Sec. V-C. Per-mix stream: Rng(seed + mix index); inside it the legacy
-/// draw order is preserved exactly (train placements, then the
-/// optimizer's stream seed, then the random-trial placements).
+/// Sec. V-C, one mix per cell. The whole-sweep stream for mix i is
+/// Rng(seed + i); expand_cells rebases each cell's seed to seed + i, so
+/// the cell draws from Rng(spec.seed). Inside it the legacy draw order is
+/// preserved exactly (train placements, then the optimizer's stream
+/// seed, then the random-trial placements).
 json::Value run_placement_study(const ScenarioSpec& spec,
                                 const core::ParallelSweepRunner& runner) {
-  json::Array mixes_out;
-  for (std::size_t mix_i = 0; mix_i < spec.workload.mixes.size(); ++mix_i) {
-    ScenarioSpec study = spec;
-    study.system = system_with_size(spec.system, spec.axes.nodes);
-    core::CampaignConfig cfg =
-        campaign_config(study, spec.workload.mixes[mix_i]);
-    core::AttackCampaign campaign(cfg);
-    const MeshGeometry geom(study.system.width, study.system.height);
-    Rng rng(spec.seed + static_cast<std::uint64_t>(mix_i));
+  const std::string& mix_name = spec.workload.mixes.front();
+  ScenarioSpec study = spec;
+  study.system = system_with_size(spec.system, spec.axes.nodes);
+  core::AttackCampaign campaign(campaign_config(study, mix_name));
+  const MeshGeometry geom(study.system.width, study.system.height);
+  Rng rng(spec.seed);
 
-    // Phase 1: sample diverse placements (serially, from one stream) and
-    // evaluate them across the pool to record (rho, eta, m, Q).
-    std::vector<core::Placement> train;
-    train.reserve(static_cast<std::size_t>(spec.axes.train_samples));
-    for (int i = 0; i < spec.axes.train_samples; ++i) {
-      const int m =
-          1 + static_cast<int>(rng.below(
-                  static_cast<std::uint64_t>(spec.axes.max_hts)));
-      train.push_back(core::candidate_placements(geom, campaign.gm_node(), m,
-                                                 1, rng)
-                          .front());
-    }
-    const auto train_outs = runner.run_placements(campaign, train);
-
-    std::vector<core::AttackSample> samples;
-    std::vector<double> phi_victims;
-    std::vector<double> phi_attackers;
-    for (const auto& out : train_outs) {
-      core::AttackSample s;
-      s.rho = out.geometry.rho;
-      s.eta = out.geometry.eta;
-      s.m = out.geometry.m;
-      for (const auto& app : out.apps) {
-        (app.attacker ? s.phi_attackers : s.phi_victims).push_back(app.phi);
-      }
-      s.q = out.q;
-      if (phi_victims.empty()) {
-        phi_victims = s.phi_victims;
-        phi_attackers = s.phi_attackers;
-      }
-      samples.push_back(std::move(s));
-    }
-
-    // Phase 2: fit Eq. 9 and enumerate (Eq. 10-11) across the pool; the
-    // attacker validates the short list in simulation before committing.
-    core::AttackEffectModel model;
-    model.fit(samples);
-    core::PlacementOptimizer optimizer(geom, campaign.gm_node(), &model,
-                                       phi_victims, phi_attackers);
-    const auto shortlist = optimizer.optimize_top_k(
-        spec.axes.max_hts, spec.axes.candidates_per_m, spec.axes.shortlist,
-        rng(), runner);
-    std::vector<core::Placement> short_placements;
-    short_placements.reserve(shortlist.size());
-    for (const auto& r : shortlist) short_placements.push_back(r.placement);
-    const auto realized = runner.run_placements(campaign, short_placements);
-    std::size_t best = 0;
-    for (std::size_t c = 1; c < realized.size(); ++c) {
-      if (realized[c].q > realized[best].q) best = c;
-    }
-
-    std::vector<std::vector<NodeId>> random_sets;
-    random_sets.reserve(static_cast<std::size_t>(spec.axes.random_trials));
-    for (int t = 0; t < spec.axes.random_trials; ++t) {
-      random_sets.push_back(core::random_placement(geom, spec.axes.max_hts,
-                                                   rng, campaign.gm_node()));
-    }
-    double q_random = 0.0;
-    for (const auto& out : runner.run_node_sets(campaign, random_sets)) {
-      q_random += out.q;
-    }
-    q_random /= spec.axes.random_trials;
-
-    json::Object row;
-    row["mix"] = json::Value(spec.workload.mixes[mix_i]);
-    row["q_random"] = json::Value(q_random);
-    // Realized Q of the model's top-scored candidate vs the deployed
-    // (best-validated) one.
-    row["q_model_top"] = json::Value(realized[0].q);
-    row["q_deployed"] = json::Value(realized[best].q);
-    row["gain"] = json::Value(realized[best].q / q_random - 1.0);
-    row["model_r2"] = json::Value(model.r2());
-    row["predicted_q"] = json::Value(shortlist[best].predicted_q);
-    mixes_out.push_back(json::Value(std::move(row)));
+  // Phase 1: sample diverse placements (serially, from one stream) and
+  // evaluate them across the pool to record (rho, eta, m, Q).
+  std::vector<core::Placement> train;
+  train.reserve(static_cast<std::size_t>(spec.axes.train_samples));
+  for (int i = 0; i < spec.axes.train_samples; ++i) {
+    const int m =
+        1 + static_cast<int>(rng.below(
+                static_cast<std::uint64_t>(spec.axes.max_hts)));
+    train.push_back(core::candidate_placements(geom, campaign.gm_node(), m,
+                                               1, rng)
+                        .front());
   }
-  json::Object payload;
-  payload["mixes"] = json::Value(std::move(mixes_out));
-  return json::Value(std::move(payload));
+  const auto train_outs = runner.run_placements(campaign, train);
+
+  std::vector<core::AttackSample> samples;
+  std::vector<double> phi_victims;
+  std::vector<double> phi_attackers;
+  for (const auto& out : train_outs) {
+    core::AttackSample s;
+    s.rho = out.geometry.rho;
+    s.eta = out.geometry.eta;
+    s.m = out.geometry.m;
+    for (const auto& app : out.apps) {
+      (app.attacker ? s.phi_attackers : s.phi_victims).push_back(app.phi);
+    }
+    s.q = out.q;
+    if (phi_victims.empty()) {
+      phi_victims = s.phi_victims;
+      phi_attackers = s.phi_attackers;
+    }
+    samples.push_back(std::move(s));
+  }
+
+  // Phase 2: fit Eq. 9 and enumerate (Eq. 10-11) across the pool; the
+  // attacker validates the short list in simulation before committing.
+  core::AttackEffectModel model;
+  model.fit(samples);
+  core::PlacementOptimizer optimizer(geom, campaign.gm_node(), &model,
+                                     phi_victims, phi_attackers);
+  const auto shortlist = optimizer.optimize_top_k(
+      spec.axes.max_hts, spec.axes.candidates_per_m, spec.axes.shortlist,
+      rng(), runner);
+  std::vector<core::Placement> short_placements;
+  short_placements.reserve(shortlist.size());
+  for (const auto& r : shortlist) short_placements.push_back(r.placement);
+  const auto realized = runner.run_placements(campaign, short_placements);
+  std::size_t best = 0;
+  for (std::size_t c = 1; c < realized.size(); ++c) {
+    if (realized[c].q > realized[best].q) best = c;
+  }
+
+  std::vector<std::vector<NodeId>> random_sets;
+  random_sets.reserve(static_cast<std::size_t>(spec.axes.random_trials));
+  for (int t = 0; t < spec.axes.random_trials; ++t) {
+    random_sets.push_back(core::random_placement(geom, spec.axes.max_hts,
+                                                 rng, campaign.gm_node()));
+  }
+  double q_random = 0.0;
+  for (const auto& out : runner.run_node_sets(campaign, random_sets)) {
+    q_random += out.q;
+  }
+  q_random /= spec.axes.random_trials;
+
+  json::Object row;
+  row["mix"] = json::Value(mix_name);
+  row["q_random"] = json::Value(q_random);
+  // Realized Q of the model's top-scored candidate vs the deployed
+  // (best-validated) one.
+  row["q_model_top"] = json::Value(realized[0].q);
+  row["q_deployed"] = json::Value(realized[best].q);
+  row["gain"] = json::Value(realized[best].q / q_random - 1.0);
+  row["model_r2"] = json::Value(model.r2());
+  row["predicted_q"] = json::Value(shortlist[best].predicted_q);
+  return one_slice("mixes", std::move(row));
 }
 
 /// Defense ROC: DefenseSweep curve plus the dense stealthy-Trojan grid
@@ -367,12 +350,6 @@ json::Value run_defense_sweep(const ScenarioSpec& spec,
   core::DefenseSweepConfig sweep_cfg;
   sweep_cfg.base = campaign_config(spec, spec.workload.mix);
   sweep_cfg.base.detector.reset();
-  sweep_cfg.base.response.reset();
-  sweep_cfg.responses.assign(spec.axes.responses.begin(),
-                             spec.axes.responses.end());
-  if (spec.response.has_value()) {
-    sweep_cfg.response_base = spec.response->to_config();
-  }
   for (const BandSpec& band : spec.axes.bands) {
     power::DetectorConfig d;
     d.low_ratio = band.low;
@@ -443,8 +420,6 @@ json::Value run_defense_sweep(const ScenarioSpec& spec,
 
   const auto roc_config = [&](int period, double factor) {
     core::CampaignConfig cfg = sweep_cfg.base;
-    cfg.detector.reset();
-    cfg.response.reset();
     cfg.trojan.victim_scale = factor;
     if (period == 0) {
       cfg.trojan.active = true;  // always-on, live from power-on
@@ -478,7 +453,6 @@ json::Value run_defense_sweep(const ScenarioSpec& spec,
   // clean trace for an apples-to-apples detect/fp pair.
   const auto record_clean = [&](Cycle first_epoch_cycle) {
     core::CampaignConfig clean_cfg = sweep_cfg.base;
-    clean_cfg.detector.reset();
     clean_cfg.trojan.active = false;
     clean_cfg.toggle_period_epochs = 0;
     clean_cfg.system.first_epoch_cycle = first_epoch_cycle;
@@ -558,86 +532,81 @@ json::Value run_defense_sweep(const ScenarioSpec& spec,
   return json::Value(std::move(payload));
 }
 
-/// Detection & mitigation arms per mix (the defense-evaluation bench).
-/// The detection/clean arms use the spec's trojan schedule (mid-run
-/// activation) and axes.detection_measure_epochs; the damage arms pin
-/// the Trojan always-on so plain and guarded Q are directly comparable.
+/// Detection & mitigation arms, one mix per cell. The detection/clean
+/// arms use the spec's trojan schedule (mid-run activation) and
+/// axes.detection_measure_epochs; the damage arms pin the Trojan
+/// always-on so plain and guarded Q are directly comparable.
 json::Value run_defense_evaluation(const ScenarioSpec& spec) {
-  json::Array rows;
-  for (const std::string& mix_name : spec.workload.mixes) {
-    // Detection arm (mid-run activation); the run owns its detector.
-    ScenarioSpec detect_spec = spec;
-    detect_spec.epochs.measure = spec.axes.detection_measure_epochs;
-    if (!detect_spec.detector.has_value()) {
-      detect_spec.detector = DetectorSpec{};
-    }
-    core::CampaignConfig cfg = campaign_config(detect_spec, mix_name);
-    core::AttackCampaign campaign(cfg);
-    const MeshGeometry geom(spec.system.width, spec.system.height);
-    const auto hts =
-        resolve_cluster(ClusterSpec{ClusterSpec::At::kGm,
-                                    spec.axes.cluster_hts},
-                        geom, campaign.gm_node());
-    const auto detected = campaign.run(hts);
-    const power::DetectorReport report =
-        detected.detection.value_or(power::DetectorReport{});
-
-    // Damage arms: attack always on, no detector (and so no response).
-    ScenarioSpec damage_spec = spec;
-    damage_spec.trojan.active = true;
-    damage_spec.trojan.toggle_period_epochs = 0;
-    damage_spec.detector.reset();
-    damage_spec.response.reset();
-    core::AttackCampaign plain_campaign(
-        campaign_config(damage_spec, mix_name));
-    const auto plain = plain_campaign.run(hts);
-
-    int victims = 0;
-    int attackers = 0;
-    for (const auto& app : campaign.apps()) {
-      (app.is_attacker() ? attackers : victims) +=
-          static_cast<int>(app.cores.size());
-    }
-
-    // False positives: same chip, Trojans never activated (detection-only
-    // run; the clean arm has no use for a baseline). Forced dormant: the
-    // arm must stay clean even for a spec whose trojan starts active.
-    ScenarioSpec clean_spec = detect_spec;
-    clean_spec.trojan.active = false;
-    clean_spec.trojan.toggle_period_epochs = 0;
-    core::AttackCampaign clean(campaign_config(clean_spec, mix_name));
-    const auto clean_report =
-        clean.run_detection_only(hts).value_or(power::DetectorReport{});
-    const auto false_pos =
-        clean_report.flagged_low.size() + clean_report.flagged_high.size();
-
-    // Mitigation arm: the GuardedBudgeter clamps requests in-band.
-    ScenarioSpec guard_spec = damage_spec;
-    guard_spec.system.guard_requests = true;
-    core::AttackCampaign guarded(campaign_config(guard_spec, mix_name));
-    const auto mitigated = guarded.run(hts);
-    double worst = 1.0;
-    for (const auto& app : mitigated.apps) {
-      if (!app.attacker) worst = std::min(worst, app.change);
-    }
-
-    json::Object row;
-    row["mix"] = json::Value(mix_name);
-    row["q_plain"] = json::Value(plain.q);
-    row["q_guarded"] = json::Value(mitigated.q);
-    row["victims_flagged"] =
-        json::Value(static_cast<long long>(report.flagged_low.size()));
-    row["victim_cores"] = json::Value(victims);
-    row["attackers_flagged"] =
-        json::Value(static_cast<long long>(report.flagged_high.size()));
-    row["attacker_cores"] = json::Value(attackers);
-    row["false_positives"] = json::Value(static_cast<long long>(false_pos));
-    row["worst_victim_theta"] = json::Value(worst);
-    rows.push_back(json::Value(std::move(row)));
+  const std::string& mix_name = spec.workload.mixes.front();
+  // Detection arm (mid-run activation); the run owns its detector.
+  ScenarioSpec detect_spec = spec;
+  detect_spec.epochs.measure = spec.axes.detection_measure_epochs;
+  if (!detect_spec.detector.has_value()) {
+    detect_spec.detector = DetectorSpec{};
   }
-  json::Object payload;
-  payload["rows"] = json::Value(std::move(rows));
-  return json::Value(std::move(payload));
+  core::CampaignConfig cfg = campaign_config(detect_spec, mix_name);
+  core::AttackCampaign campaign(cfg);
+  const MeshGeometry geom(spec.system.width, spec.system.height);
+  const auto hts =
+      resolve_cluster(ClusterSpec{ClusterSpec::At::kGm,
+                                  spec.axes.cluster_hts},
+                      geom, campaign.gm_node());
+  const auto detected = campaign.run(hts);
+  const power::DetectorReport report =
+      detected.detection.value_or(power::DetectorReport{});
+
+  // Damage arms: attack always on, no detector (and so no response).
+  ScenarioSpec damage_spec = spec;
+  damage_spec.trojan.active = true;
+  damage_spec.trojan.toggle_period_epochs = 0;
+  damage_spec.detector.reset();
+  damage_spec.response.reset();
+  core::AttackCampaign plain_campaign(
+      campaign_config(damage_spec, mix_name));
+  const auto plain = plain_campaign.run(hts);
+
+  int victims = 0;
+  int attackers = 0;
+  for (const auto& app : campaign.apps()) {
+    (app.is_attacker() ? attackers : victims) +=
+        static_cast<int>(app.cores.size());
+  }
+
+  // False positives: same chip, Trojans never activated (detection-only
+  // run; the clean arm has no use for a baseline). Forced dormant: the
+  // arm must stay clean even for a spec whose trojan starts active.
+  ScenarioSpec clean_spec = detect_spec;
+  clean_spec.trojan.active = false;
+  clean_spec.trojan.toggle_period_epochs = 0;
+  core::AttackCampaign clean(campaign_config(clean_spec, mix_name));
+  const auto clean_report =
+      clean.run_detection_only(hts).value_or(power::DetectorReport{});
+  const auto false_pos =
+      clean_report.flagged_low.size() + clean_report.flagged_high.size();
+
+  // Mitigation arm: the GuardedBudgeter clamps requests in-band.
+  ScenarioSpec guard_spec = damage_spec;
+  guard_spec.system.guard_requests = true;
+  core::AttackCampaign guarded(campaign_config(guard_spec, mix_name));
+  const auto mitigated = guarded.run(hts);
+  double worst = 1.0;
+  for (const auto& app : mitigated.apps) {
+    if (!app.attacker) worst = std::min(worst, app.change);
+  }
+
+  json::Object row;
+  row["mix"] = json::Value(mix_name);
+  row["q_plain"] = json::Value(plain.q);
+  row["q_guarded"] = json::Value(mitigated.q);
+  row["victims_flagged"] =
+      json::Value(static_cast<long long>(report.flagged_low.size()));
+  row["victim_cores"] = json::Value(victims);
+  row["attackers_flagged"] =
+      json::Value(static_cast<long long>(report.flagged_high.size()));
+  row["attacker_cores"] = json::Value(attackers);
+  row["false_positives"] = json::Value(static_cast<long long>(false_pos));
+  row["worst_victim_theta"] = json::Value(worst);
+  return one_slice("rows", std::move(row));
 }
 
 /// False-data vs flooding on damage and detectability, plus the
@@ -761,73 +730,65 @@ json::Value run_attack_comparison(const ScenarioSpec& spec,
   return json::Value(std::move(payload));
 }
 
-/// The same mix-1 attack under every implemented allocation policy.
+/// The mix-1 attack under one allocation policy per cell.
 json::Value run_budgeter_ablation(const ScenarioSpec& spec) {
-  json::Array rows;
-  for (const power::BudgeterKind kind : spec.axes.budgeters) {
-    ScenarioSpec arm = spec;
-    arm.system.budgeter = kind;
-    core::AttackCampaign campaign(campaign_config(arm, spec.workload.mix));
-    const MeshGeometry geom(spec.system.width, spec.system.height);
-    const auto hts =
-        resolve_cluster(ClusterSpec{ClusterSpec::At::kGm,
-                                    spec.axes.cluster_hts},
-                        geom, campaign.gm_node());
-    const auto out = campaign.run(hts);
-    double worst_victim = 1e9;
-    double best_attacker = 0.0;
-    for (const auto& app : out.apps) {
-      if (app.attacker) {
-        best_attacker = std::max(best_attacker, app.change);
-      } else {
-        worst_victim = std::min(worst_victim, app.change);
-      }
+  const power::BudgeterKind kind = spec.axes.budgeters.front();
+  ScenarioSpec arm = spec;
+  arm.system.budgeter = kind;
+  core::AttackCampaign campaign(campaign_config(arm, spec.workload.mix));
+  const MeshGeometry geom(spec.system.width, spec.system.height);
+  const auto hts =
+      resolve_cluster(ClusterSpec{ClusterSpec::At::kGm,
+                                  spec.axes.cluster_hts},
+                      geom, campaign.gm_node());
+  const auto out = campaign.run(hts);
+  double worst_victim = 1e9;
+  double best_attacker = 0.0;
+  for (const auto& app : out.apps) {
+    if (app.attacker) {
+      best_attacker = std::max(best_attacker, app.change);
+    } else {
+      worst_victim = std::min(worst_victim, app.change);
     }
-    json::Object row;
-    row["budgeter"] = json::Value(power::to_string(kind));
-    row["q"] = json::Value(out.q);
-    row["infection"] = json::Value(out.infection_measured);
-    row["worst_victim"] = json::Value(worst_victim);
-    row["best_attacker"] = json::Value(best_attacker);
-    rows.push_back(json::Value(std::move(row)));
   }
-  json::Object payload;
-  payload["rows"] = json::Value(std::move(rows));
-  return json::Value(std::move(payload));
+  json::Object row;
+  row["budgeter"] = json::Value(power::to_string(kind));
+  row["q"] = json::Value(out.q);
+  row["infection"] = json::Value(out.infection_measured);
+  row["worst_victim"] = json::Value(worst_victim);
+  row["best_attacker"] = json::Value(best_attacker);
+  return one_slice("rows", std::move(row));
 }
 
-/// Closed-loop defense tradeoff grid: placements x {static, adaptive}
-/// Trojan x {none + axes.responses} response policy. Every arm is an
-/// independent re-simulation (responses perturb the dynamics, so nothing
-/// here can ride on trace replays); arms fan out across the pool. The
-/// static and adaptive arms are tuned to equal mean duty cycle
-/// (toggle_period_epochs vs max_on/hold_off), so the duty_comparison
-/// block isolates what grant-feedback adaptation buys the attacker.
+/// Closed-loop defense tradeoff grid for one placement per cell:
+/// {static, adaptive} Trojan x {none + axes.responses} response policy.
+/// Every arm is an independent re-simulation (responses perturb the
+/// dynamics, so nothing here can ride on trace replays); arms fan out
+/// across the pool. The static and adaptive arms are tuned to equal mean
+/// duty cycle (toggle_period_epochs vs max_on/hold_off), so the
+/// duty_comparison block isolates what grant-feedback adaptation buys the
+/// attacker; merge_cell_results keeps the first placement's.
 json::Value run_defense_closed_loop(const ScenarioSpec& spec,
                                     const core::ParallelSweepRunner& runner) {
   struct Arm {
-    std::size_t placement = 0;
     bool adaptive = false;
     int response = -1;  // -1 = no response policy, else axes.responses index
   };
 
+  const ClusterSpec& cluster = spec.axes.placements.front();
   const core::AttackCampaign probe(campaign_config(spec, spec.workload.mix));
   const MeshGeometry geom(spec.system.width, spec.system.height);
-  std::vector<std::vector<NodeId>> placements;
-  for (const ClusterSpec& cluster : spec.axes.placements) {
-    placements.push_back(resolve_cluster(cluster, geom, probe.gm_node()));
-  }
+  const std::vector<NodeId> placement =
+      resolve_cluster(cluster, geom, probe.gm_node());
   int attacker_cores = 0;
   for (const auto& app : probe.apps()) {
     if (app.is_attacker()) attacker_cores += static_cast<int>(app.cores.size());
   }
 
   std::vector<Arm> arms;
-  for (std::size_t p = 0; p < placements.size(); ++p) {
-    for (const bool adaptive : {false, true}) {
-      for (int r = -1; r < static_cast<int>(spec.axes.responses.size()); ++r) {
-        arms.push_back(Arm{p, adaptive, r});
-      }
+  for (const bool adaptive : {false, true}) {
+    for (int r = -1; r < static_cast<int>(spec.axes.responses.size()); ++r) {
+      arms.push_back(Arm{adaptive, r});
     }
   }
 
@@ -850,7 +811,7 @@ json::Value run_defense_closed_loop(const ScenarioSpec& spec,
           spec.axes.responses[static_cast<std::size_t>(arm.response)];
     }
     core::AttackCampaign campaign(cfg);
-    return campaign.run(placements[arm.placement]);
+    return campaign.run(placement);
   });
 
   const auto detection_rate = [&](const core::CampaignOutcome& out) {
@@ -863,12 +824,12 @@ json::Value run_defense_closed_loop(const ScenarioSpec& spec,
   };
 
   json::Array rows;
+  json::Object comparison;
   for (std::size_t i = 0; i < arms.size(); ++i) {
     const Arm& arm = arms[i];
     const core::CampaignOutcome& out = outs[i];
     json::Object row;
-    row["placement"] =
-        json::Value(to_string(spec.axes.placements[arm.placement].at));
+    row["placement"] = json::Value(to_string(cluster.at));
     row["trojan"] = json::Value(arm.adaptive ? "adaptive" : "static");
     row["response"] = json::Value(
         arm.response < 0
@@ -906,20 +867,17 @@ json::Value run_defense_closed_loop(const ScenarioSpec& spec,
       row["migrations"] = json::Value(ro.migrations);
     }
     rows.push_back(json::Value(std::move(row)));
-  }
 
-  // Evasion headline: the response-free arms of the first placement,
-  // static (toggle, duty 1/2) vs adaptive (max_on/hold_off, equal duty).
-  json::Object comparison;
-  for (std::size_t i = 0; i < arms.size(); ++i) {
-    if (arms[i].placement != 0 || arms[i].response >= 0) continue;
-    const char* side = arms[i].adaptive ? "adaptive" : "static";
+    // Evasion headline: the response-free arms, static (toggle, duty
+    // 1/2) vs adaptive (max_on/hold_off, equal duty).
+    if (arm.response >= 0) continue;
     json::Object half;
-    half["detection_rate"] = json::Value(detection_rate(outs[i]));
-    half["q"] = json::Value(outs[i].q);
+    half["detection_rate"] = json::Value(detection_rate(out));
+    half["q"] = json::Value(out.q);
     half["duty"] = json::Value(
-        outs[i].adaptation.has_value() ? outs[i].adaptation->duty() : 0.5);
-    comparison[side] = json::Value(std::move(half));
+        out.adaptation.has_value() ? out.adaptation->duty() : 0.5);
+    comparison[arm.adaptive ? "adaptive" : "static"] =
+        json::Value(std::move(half));
   }
 
   json::Object payload;
@@ -1064,6 +1022,41 @@ json::Value run_area_power_report(const ScenarioSpec& spec) {
   return json::Value(std::move(payload));
 }
 
+/// One expand_cells cell's payload; `timing` collects the per-phase
+/// seconds the defense sweep reports.
+json::Value run_cell(const ScenarioSpec& cell,
+                     const core::ParallelSweepRunner& runner,
+                     json::Object& timing) {
+  switch (cell.kind) {
+    case ScenarioKind::kInfectionVsHtCount:
+      return run_infection_vs_ht_count(cell);
+    case ScenarioKind::kInfectionVsDistribution:
+      return run_infection_vs_distribution(cell);
+    case ScenarioKind::kAttackEffect:
+    case ScenarioKind::kPerformanceChange:
+      return run_attack_sweep(cell, runner);
+    case ScenarioKind::kPlacementStudy:
+      return run_placement_study(cell, runner);
+    case ScenarioKind::kDefenseSweep:
+      return run_defense_sweep(cell, runner, timing);
+    case ScenarioKind::kDefenseEvaluation:
+      return run_defense_evaluation(cell);
+    case ScenarioKind::kAttackComparison:
+      return run_attack_comparison(cell, runner);
+    case ScenarioKind::kBudgeterAblation:
+      return run_budgeter_ablation(cell);
+    case ScenarioKind::kConfigReport:
+      return run_config_report(cell);
+    case ScenarioKind::kBenchmarkReport:
+      return run_benchmark_report(cell);
+    case ScenarioKind::kAreaPowerReport:
+      return run_area_power_report(cell);
+    case ScenarioKind::kDefenseClosedLoop:
+      return run_defense_closed_loop(cell, runner);
+  }
+  throw std::logic_error("run_cell: unhandled scenario kind");
+}
+
 }  // namespace
 
 ScenarioSpec resolve(const ScenarioSpec& spec, const RunOptions& opts) {
@@ -1080,63 +1073,19 @@ ScenarioSpec resolve(const ScenarioSpec& spec, const RunOptions& opts) {
 json::Value run_scenario(const ScenarioSpec& spec, const RunOptions& opts) {
   const ScenarioSpec s = resolve(spec, opts);
   const core::ParallelSweepRunner runner(s.threads);
-
-  json::Object envelope;
-  envelope["scenario"] = json::Value(s.name);
-  envelope["kind"] = json::Value(to_string(s.kind));
-  envelope["quick"] = json::Value(opts.quick);
-  envelope["seed"] = json::Value(static_cast<long long>(s.seed));
-  envelope["threads"] = json::Value(runner.threads());
-
   json::Object timing;
   const double t0 = now_seconds();
-  json::Value payload;
-  switch (s.kind) {
-    case ScenarioKind::kInfectionVsHtCount:
-      payload = run_infection_vs_ht_count(s);
-      break;
-    case ScenarioKind::kInfectionVsDistribution:
-      payload = run_infection_vs_distribution(s);
-      break;
-    case ScenarioKind::kAttackEffect:
-    case ScenarioKind::kPerformanceChange:
-      payload = run_attack_sweep(s, runner);
-      break;
-    case ScenarioKind::kPlacementStudy:
-      payload = run_placement_study(s, runner);
-      break;
-    case ScenarioKind::kDefenseSweep:
-      payload = run_defense_sweep(s, runner, timing);
-      break;
-    case ScenarioKind::kDefenseEvaluation:
-      payload = run_defense_evaluation(s);
-      break;
-    case ScenarioKind::kAttackComparison:
-      payload = run_attack_comparison(s, runner);
-      break;
-    case ScenarioKind::kBudgeterAblation:
-      payload = run_budgeter_ablation(s);
-      break;
-    case ScenarioKind::kConfigReport:
-      payload = run_config_report(s);
-      break;
-    case ScenarioKind::kBenchmarkReport:
-      payload = run_benchmark_report(s);
-      break;
-    case ScenarioKind::kAreaPowerReport:
-      payload = run_area_power_report(s);
-      break;
-    case ScenarioKind::kDefenseClosedLoop:
-      payload = run_defense_closed_loop(s, runner);
-      break;
+  const std::vector<CellPlan> cells = expand_cells(s);
+  std::vector<json::Value> results;
+  results.reserve(cells.size());
+  for (const CellPlan& cell : cells) {
+    results.push_back(run_cell(cell.spec, runner, timing));
   }
   timing["seconds"] = json::Value(now_seconds() - t0);
-
-  for (auto& [key, value] : payload.as_object()) {
-    envelope[key] = std::move(value);
-  }
-  envelope["timing"] = json::Value(std::move(timing));
-  return json::Value(std::move(envelope));
+  json::Value envelope =
+      merge_cell_results(s, opts.quick, runner.threads(), results);
+  envelope.as_object()["timing"] = json::Value(std::move(timing));
+  return envelope;
 }
 
 power::RequestTrace record_scenario_trace(const ScenarioSpec& spec,

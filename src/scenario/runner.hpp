@@ -2,6 +2,13 @@
 // DefenseSweep, PlacementOptimizer, ManyCoreSystem) and reduces the raw
 // outcomes to one JSON result tree per scenario kind.
 //
+// One run path, shared with the fleet: run_scenario resolves the spec,
+// splits it with expand_cells (scenario/cells.hpp), runs each cell in
+// order through one single-slice function per kind, and reassembles the
+// tree with merge_cell_results. The ParallelSweepRunner pool works inside
+// a cell; fig3, fig4, defense-evaluation and budgeter-ablation cells use
+// no pool, so --threads does not speed them up.
+//
 // Determinism contract: for a fixed (spec, options) pair the returned
 // tree is bit-identical across runs and thread counts, except for the
 // "timing" object (wall-clock seconds) -- consumers that compare results
@@ -23,7 +30,7 @@
 namespace htpb::scenario {
 
 struct RunOptions {
-  /// Apply the spec's quick overlay (the benches' HTPB_QUICK trims).
+  /// Apply the spec's quick overlay (CI-size sweeps).
   bool quick = false;
   /// Overrides spec.threads when > 0 (0 = spec, then HTPB_THREADS/cores).
   int threads = 0;
@@ -37,7 +44,7 @@ struct RunOptions {
 [[nodiscard]] ScenarioSpec resolve(const ScenarioSpec& spec,
                                    const RunOptions& opts);
 
-/// Runs the scenario and returns its result tree:
+/// Runs the scenario cell by cell and returns the merged result tree:
 ///   { "scenario": <name>, "kind": <kind>, "quick": <bool>,
 ///     "seed": <seed>, "threads": <pool size>,
 ///     ...kind-specific payload..., "timing": {...seconds...} }

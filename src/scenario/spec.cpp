@@ -913,6 +913,13 @@ void ScenarioSpec::validate() const {
     case ScenarioKind::kDefenseSweep:
       require_bands();
       require_placements();
+      // The sweep's curve rides on trace replays of passive detectors; a
+      // response would perturb the dynamics it replays.
+      if (response.has_value() || !axes.responses.empty()) {
+        invalid(name,
+                "defense_sweep takes no response section or axes.responses "
+                "(run responses through defense_closed_loop)");
+      }
       if (axes.roc.enabled()) {
         if (axes.roc.placements >
             static_cast<int>(axes.placements.size())) {

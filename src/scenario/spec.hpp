@@ -5,8 +5,8 @@
 //
 // Every paper experiment (Figs. 3-6, Tables I-III, the Sec. V placement
 // study, the defense extensions) is a ScenarioSpec in the registry
-// (scenario/registry.hpp); the single `htpb_run` driver and the thin
-// bench formatters both execute specs through scenario/runner.hpp. New
+// (scenario/registry.hpp); the single `htpb_run` driver executes specs
+// through scenario/runner.hpp and prints scenario/report.hpp's tables. New
 // scenarios -- new Trojan kinds, detector grids, response policies -- are
 // new specs (or spec files), not new binaries.
 //
@@ -267,7 +267,7 @@ struct AxesSpec {
   int detection_measure_epochs = 6;
   RocSpec roc;
   /// kDefenseClosedLoop: the response-policy axis (each kind is one arm;
-  /// also accepted by kDefenseSweep as DefenseSweep's response axis).
+  /// kDefenseSweep rejects it).
   std::vector<power::ResponseKind> responses;
   // kAttackComparison
   std::vector<NodeId> flood_sources;
@@ -314,12 +314,14 @@ struct ScenarioSpec {
   /// (tests/scenario/runner_test.cpp locks same-seed determinism).
   std::uint64_t seed = 1;
   /// ParallelSweepRunner pool cap; 0 = default (HTPB_THREADS or cores).
+  /// The pool parallelises inside one cell (scenario/cells.hpp); cells
+  /// run in order.
   int threads = 0;
 
   /// Sparse JSON overlay merged over the spec by with_quick() -- the
-  /// declarative form of the benches' HTPB_QUICK trims. Objects merge
-  /// recursively, everything else (arrays included) replaces. kNull =
-  /// no quick variant.
+  /// CI-size trims `--quick` applies. Objects merge recursively,
+  /// everything else (arrays included) replaces. kNull = no quick
+  /// variant.
   json::Value quick;
 
   /// Unread; kept only while scenario_bench/workloads.cpp assigns it.

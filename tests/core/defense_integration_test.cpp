@@ -1,7 +1,7 @@
 // End-to-end defense evaluation: detector catches the attack at the
-// manager; the guarded budgeter blunts it; duty-cycled activation trades
-// damage for stealth; the flooding baseline is loud where the false-data
-// attack is silent.
+// manager; response policies sanction what it flags; the guarded
+// budgeter blunts it; duty-cycled activation trades damage for stealth;
+// the flooding baseline is loud where the false-data attack is silent.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,6 +10,7 @@
 #include "core/flooding.hpp"
 #include "core/placement.hpp"
 #include "power/defense.hpp"
+#include "power/response.hpp"
 #include "system/manycore_system.hpp"
 #include "workload/application.hpp"
 
@@ -75,6 +76,53 @@ TEST(DefenseIntegration, NoDetectorMeansNoReport) {
   AttackCampaign campaign(cfg);
   const auto out = campaign.run(gm_cluster(campaign, 4));
   EXPECT_FALSE(out.detection.has_value());
+}
+
+// The defense-closed-loop path: a campaign with cfg.response set
+// sanctions the cores its detector flags, per policy.
+TEST(DefenseIntegration, ResponsePoliciesSanctionAndRecoverVictimGrants) {
+  CampaignConfig cfg = base_config();
+  cfg.system.epoch_cycles = 1000;
+  // Mid-run activation: the detector earns honest history, then the
+  // Trojans wake up -- so flags fire and the response engages.
+  cfg.trojan.active = false;
+  cfg.toggle_period_epochs = 2;
+  cfg.warmup_epochs = 1;
+  cfg.measure_epochs = 4;
+  cfg.detector = power::DetectorConfig{};
+  cfg.detector->low_ratio = 0.6;
+  cfg.detector->high_ratio = 1.6;
+  AttackCampaign undefended(cfg);
+  const auto plain = undefended.run(gm_cluster(undefended, 8));
+  ASSERT_TRUE(plain.q_valid);
+  EXPECT_FALSE(plain.response.has_value());
+
+  const power::ResponseKind kinds[] = {power::ResponseKind::kQuarantine,
+                                       power::ResponseKind::kThrottle,
+                                       power::ResponseKind::kMigrate};
+  // Migrate re-places once per triggered run; the in-place policies
+  // never migrate.
+  const int migrations[] = {0, 0, 1};
+  for (std::size_t k = 0; k < 3; ++k) {
+    CampaignConfig response_cfg = cfg;
+    response_cfg.response = power::ResponseConfig{};
+    response_cfg.response->kind = kinds[k];
+    AttackCampaign campaign(response_cfg);
+    const auto out = campaign.run(gm_cluster(campaign, 8));
+    ASSERT_TRUE(out.response.has_value()) << k;
+    // The tight band flags the GM-adjacent cluster, so every policy
+    // engages and restores a measurable share of the victims' grants.
+    EXPECT_GT(out.response->sanctioned_cores.size(), 0U) << k;
+    EXPECT_GE(out.response->collateral, 0) << k;
+    EXPECT_GT(out.response->victim_grant_recovery, 0.0) << k;
+    EXPECT_EQ(out.response->migrations, migrations[k]) << k;
+    if (kinds[k] == power::ResponseKind::kQuarantine) {
+      // Quarantine starves the flagged accomplices outright: residual Q
+      // comes down from the undefended attack effect.
+      ASSERT_TRUE(out.q_valid);
+      EXPECT_LT(out.q, plain.q);
+    }
+  }
 }
 
 TEST(DefenseIntegration, GuardedBudgeterBluntsTheAttack) {

@@ -142,7 +142,6 @@ TEST(TraceReplay, DetectionArmSimulationCountIsPlacementBound) {
   sweep_cfg.base = base_config();
   sweep_cfg.base.detector.reset();
   sweep_cfg.evaluate_guard = false;  // the guard genuinely perturbs; exclude
-  sweep_cfg.measure_false_positives = true;
   sweep_cfg.placements = placements_for(sweep_cfg.base);
   const ParallelSweepRunner runner(2);
 

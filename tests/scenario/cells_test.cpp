@@ -1,6 +1,8 @@
 // The fleet's correctness keystone: for every shardable kind,
 // expand_cells + run_scenario per cell + merge_cell_results must equal a
 // single run_scenario of the full spec BIT FOR BIT (minus "timing").
+// run_scenario runs the same cells and merge in-process, so this holds
+// exactly when a one-cell tree merges to itself.
 // Quick-sized custom specs keep the sweeps honest -- at least two slices
 // per split axis -- without paper-scale runtimes.
 #include "scenario/cells.hpp"

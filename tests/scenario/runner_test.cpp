@@ -9,6 +9,8 @@
 //  3. Thread invariance -- the tree is identical at 1 and N threads.
 //  4. Trace record/replay -- the scenario-level trace surface agrees with
 //     power::replay_detector, including through disk persistence.
+//  5. Paper-claim oracles -- fig3's tree has the paper's shape (infection
+//     rises with the HT count; simulation tracks the analytic model).
 #include "scenario/runner.hpp"
 
 #include <gtest/gtest.h>
@@ -50,7 +52,7 @@ TEST(ScenarioRunner, Fig3QuickBitIdenticalToLegacyBenchPath) {
   const json::Value result = run_quick("fig3");
   const json::Array& arms = result.as_object().find("arms")->as_array();
 
-  // The pre-port bench_fig3 main, verbatim (HTPB_QUICK=1 constants:
+  // The pre-port bench_fig3 main, verbatim (quick constants:
   // 2 seeds, 1 warmup + 2 measure epochs, Rng(1000 + s*77 + hts)).
   const int seeds = 2;
   struct Arm {
@@ -102,6 +104,38 @@ TEST(ScenarioRunner, Fig3QuickBitIdenticalToLegacyBenchPath) {
       }
     }
   }
+
+  // Paper-claim oracles on the same tree (shape, not exact numbers).
+  const auto rate = [](const json::Value& row, std::size_t p,
+                       const char* key) {
+    return row.as_object()
+        .find("cells")
+        ->as_array()[p]
+        .as_object()
+        .find(key)
+        ->as_double();
+  };
+  for (const json::Value& arm : arms) {
+    const json::Array& rows = arm.as_object().find("rows")->as_array();
+    const long long nodes = arm.as_object().find("nodes")->as_int();
+    for (std::size_t p = 0; p < 2; ++p) {
+      // Fig. 3: infection rises with the number of HTs.
+      EXPECT_GT(rate(rows.back(), p, "simulated"),
+                rate(rows.front(), p, "simulated"))
+          << nodes << " nodes, placement " << p;
+      for (const json::Value& row : rows) {
+        // The analytic XY path-coverage estimate agrees with the
+        // simulation from above: at the registry seed simulated never
+        // exceeds analytic, and the widest gap is 0.101 (512 nodes,
+        // corner GM, 5 HTs).
+        const double simulated = rate(row, p, "simulated");
+        const double analytic = rate(row, p, "analytic");
+        EXPECT_LE(simulated, analytic) << nodes << " nodes, placement " << p;
+        EXPECT_LE(analytic - simulated, 0.15)
+            << nodes << " nodes, placement " << p;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------- defense-roc
@@ -110,9 +144,9 @@ TEST(ScenarioRunner, DefenseRocQuickBitIdenticalToLegacyBenchPath) {
   const json::Value result = run_quick("defense-roc");
   const json::Object& root = result.as_object();
 
-  // The pre-port bench_defense_sweep main, verbatim (HTPB_QUICK=1
-  // constants: 2 bands, 2 placements, measure 4, ROC periods {2},
-  // factors {0.10, 0.60}, 1 ROC placement).
+  // The pre-port bench_defense_sweep main, verbatim (quick constants:
+  // 2 bands, 2 placements, measure 4, ROC periods {2}, factors
+  // {0.10, 0.60}, 1 ROC placement).
   core::DefenseSweepConfig sweep_cfg;
   sweep_cfg.base.system = system::SystemConfig::with_size(64);
   sweep_cfg.base.system.epoch_cycles = 2000;

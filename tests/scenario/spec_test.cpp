@@ -13,7 +13,7 @@ namespace {
 /// A spec exercising every section and most axis fields with non-default
 /// values (the round trip must preserve each one).
 ScenarioSpec full_spec() {
-  ScenarioBuilder b("kitchen-sink", ScenarioKind::kDefenseSweep);
+  ScenarioBuilder b("kitchen-sink", ScenarioKind::kDefenseClosedLoop);
   b.title("t").paper_ref("p").expectation("e");
   b.mesh(10, 6)
       .epoch_cycles(1234)
@@ -227,7 +227,7 @@ TEST(ScenarioSpec, ValidateCatchesBadSpecs) {
   spec.trojan.victim_scale = 0.0;
   EXPECT_THROW(spec.validate(), std::invalid_argument);
 
-  spec = full_spec();
+  spec = scenario_or_throw("defense-roc");
   spec.axes.bands.clear();
   EXPECT_THROW(spec.validate(), std::invalid_argument);
 
@@ -235,7 +235,7 @@ TEST(ScenarioSpec, ValidateCatchesBadSpecs) {
   spec.workload.mix = "mix-9";
   EXPECT_THROW(spec.validate(), std::invalid_argument);
 
-  spec = full_spec();
+  spec = scenario_or_throw("defense-roc");
   spec.axes.roc.placements = 99;  // exceeds axes.placements
   EXPECT_THROW(spec.validate(), std::invalid_argument);
 
@@ -353,6 +353,35 @@ TEST(ScenarioSpec, ResponseMutationCorpusIsCleanlyRejected) {
   // An empty response axis on a closed-loop scenario has nothing to run.
   rejected(mutate("axes.responses", json::Value(json::Array{})),
            "responses empty");
+}
+
+TEST(ScenarioSpec, DefenseSweepRejectsResponses) {
+  const ScenarioSpec& roc = scenario_or_throw("defense-roc");
+  const auto rejects = [](const ScenarioSpec& spec, const char* what) {
+    try {
+      spec.validate();
+      ADD_FAILURE() << "accepted: " << what;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("defense_sweep"),
+                std::string::npos)
+          << what << ": " << e.what();
+    }
+  };
+
+  ScenarioSpec axis = roc;
+  axis.axes.responses = {power::ResponseKind::kQuarantine};
+  rejects(axis, "axes.responses");
+
+  // A response section with the detector it needs is still refused.
+  ScenarioSpec section = roc;
+  section.detector = DetectorSpec{};
+  section.response = ResponseSpec{};
+  rejects(section, "response section");
+
+  // The CLI path: --set axes.responses=["quarantine"].
+  json::Value j = roc.to_json();
+  apply_override(j, "axes.responses", "[\"quarantine\"]");
+  rejects(ScenarioSpec::from_json(j), "--set axes.responses");
 }
 
 TEST(ScenarioSpec, MeshForSizeCoversPaperPresetsOnly) {

@@ -1,8 +1,9 @@
 // End-to-end driver contract: shell the REAL htpb_run binary (path baked
 // in as HTPB_RUN_BINARY) through a scratch directory and assert on its
-// observable surface -- exit codes, stderr diagnostics, and the JSON it
-// writes. In-process runner tests can't catch argv plumbing, exit-code
-// mapping, or file-emission regressions; this one does.
+// observable surface -- exit codes, stderr diagnostics, the report it
+// prints and the JSON it writes. In-process runner tests can't catch argv
+// plumbing, exit-code mapping, or file-emission regressions; this one
+// does.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -110,6 +111,49 @@ TEST(HtpbRunE2e, ClosedLoopQuickRunEmitsTradeoffCurves) {
                 ->as_double(),
             cmp.find("static")->as_object().find("detection_rate")
                 ->as_double());
+}
+
+/// The tree minus its one non-deterministic member.
+htpb::json::Value without_timing(htpb::json::Value v) {
+  v.as_object()["timing"] = htpb::json::Value();
+  return v;
+}
+
+TEST(HtpbRunE2e, DefaultOutputIsTheReport) {
+  const TempDir dir;
+  const RunResult r = run_tool(dir, "--scenario table1");
+  ASSERT_EQ(r.exit_code, 0) << r.err;
+  EXPECT_NE(r.out.find("paper: Table I"), std::string::npos) << r.out;
+  EXPECT_NE(r.out.find("expected shape:"), std::string::npos) << r.out;
+  // The zero-load latency identity holds, not just gets reported.
+  EXPECT_NE(r.out.find("(MATCH)"), std::string::npos) << r.out;
+}
+
+TEST(HtpbRunE2e, JsonToStdoutEqualsJsonFile) {
+  const TempDir dir;
+  const fs::path json_out = dir.path() / "table1.json";
+  const RunResult to_file = run_tool(
+      dir, "--scenario table1 --json \"" + json_out.string() + "\"");
+  ASSERT_EQ(to_file.exit_code, 0) << to_file.err;
+  // A file target leaves stdout to the report.
+  EXPECT_NE(to_file.out.find("(MATCH)"), std::string::npos);
+  const htpb::json::Value from_file = htpb::json::parse(slurp(json_out));
+
+  const RunResult to_stdout = run_tool(dir, "--scenario table1 --json -");
+  ASSERT_EQ(to_stdout.exit_code, 0) << to_stdout.err;
+  const htpb::json::Value from_stdout = htpb::json::parse(to_stdout.out);
+  EXPECT_EQ(without_timing(from_stdout), without_timing(from_file));
+}
+
+TEST(HtpbRunE2e, ReportKindsRender) {
+  const TempDir dir;
+  for (const char* name : {"secIIID-area-power", "table2"}) {
+    const RunResult r =
+        run_tool(dir, std::string("--scenario ") + name + " --quick");
+    EXPECT_EQ(r.exit_code, 0) << name << ": " << r.err;
+    EXPECT_NE(r.out.find("expected shape:"), std::string::npos) << name;
+    EXPECT_TRUE(r.err.empty()) << name << ": " << r.err;
+  }
 }
 
 TEST(HtpbRunE2e, MissingSpecFileFailsWithThePathNamed) {

@@ -17,8 +17,8 @@
 //   --seed <n>             reseed the whole experiment (spec seed + the
 //                          per-node workload streams)
 //   --threads <n>          cap the ParallelSweepRunner pool
-//   --json <path|->        write the result JSON to a file (or stdout);
-//                          default: pretty-print to stdout
+//   --json <path|->        write the result JSON to a file, or to stdout
+//                          in place of the report
 //   --dump-spec [path|-]   print the fully resolved spec JSON and exit
 //                          (what would run, overrides and quick applied)
 //   --record-trace <path>  simulate the scenario's canonical attacked
@@ -26,8 +26,11 @@
 //   --replay-trace <path>  replay a saved trace through the scenario's
 //                          detector grid -- no simulation at all
 //
-// Results are bit-identical across thread counts and runs for a fixed
-// (scenario, seed, quick) triple, except the "timing" object.
+// A scenario run prints its report (scenario/report.hpp: the header and
+// the kind's tables) to stdout unless `--json -` sends the JSON there;
+// `--json out.json` gives both. Results are bit-identical across thread
+// counts and runs for a fixed (scenario, seed, quick) triple, except the
+// "timing" object.
 #include <cerrno>
 #include <cstdint>
 #include <cstdio>
@@ -42,6 +45,7 @@
 #include "common/json.hpp"
 #include "power/request_trace.hpp"
 #include "scenario/registry.hpp"
+#include "scenario/report.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/spec.hpp"
 
@@ -226,7 +230,9 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    emit(htpb::scenario::run_scenario(spec, opts), json_path);
+    const Value result = htpb::scenario::run_scenario(spec, opts);
+    if (!json_path.empty()) emit(result, json_path);
+    if (json_path != "-") htpb::scenario::print_report(stdout, spec, result);
     return 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s: %s\n", argv[0], e.what());

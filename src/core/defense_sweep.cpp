@@ -69,8 +69,7 @@ std::vector<DefenseCurvePoint> DefenseSweep::run(
       return std::optional<power::DetectorReport>{};
     }
     return std::optional{power::replay_detector(
-        traced[i % p_count].trace, cfg_.detectors[i / p_count],
-        cfg_.base.detector_factory)};
+        traced[i % p_count].trace, cfg_.detectors[i / p_count])};
   });
 
   // Clean arm (false positives): Trojans implanted but dormant, so the
@@ -88,8 +87,8 @@ std::vector<DefenseCurvePoint> DefenseSweep::run(
     const power::RequestTrace clean_trace =
         clean_campaign.record_trace(cfg_.placements.front());
     clean = runner.map(d_count, [&](std::size_t d) {
-      return std::optional{power::replay_detector(
-          clean_trace, cfg_.detectors[d], cfg_.base.detector_factory)};
+      return std::optional{
+          power::replay_detector(clean_trace, cfg_.detectors[d])};
     });
   }
 

@@ -1,12 +1,12 @@
 // The checked-in scenario registry: every paper experiment (Figs. 3-6,
 // Tables I-III, Sec. III-D, Sec. V-C) and the defense extensions, each as
-// a named, serializable ScenarioSpec. `htpb_run --scenario <name>` and
-// bench_defense_sweep start here; `htpb_run --list` prints it.
+// a named, serializable ScenarioSpec. `htpb_run --scenario <name>` starts
+// here; `htpb_run --list` prints it.
 //
 // Registered names (tests/scenario/registry_test.cpp asserts the set):
 //   fig3, fig4, fig5, fig6, table1, table2, secIIID-area-power,
 //   secVC-placement, defense-roc, defense-evaluation, attack-comparison,
-//   budgeter-ablation
+//   budgeter-ablation, defense-closed-loop
 #pragma once
 
 #include <string_view>
@@ -16,9 +16,9 @@
 
 namespace htpb::scenario {
 
-/// All registered scenarios, in presentation order. Built once, validated
-/// at construction (a spec that fails validate() is a bug, caught by the
-/// registry test and by first use).
+/// All registered scenarios, in presentation order. Built once; every
+/// spec and its quick variant are validated at construction (a spec that
+/// fails validate() is a bug, caught by the registry test and first use).
 [[nodiscard]] const std::vector<ScenarioSpec>& registry();
 
 /// Lookup by name; nullptr when unknown.

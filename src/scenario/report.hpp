@@ -1,5 +1,5 @@
 // Human-readable tables for a scenario result tree: the default stdout
-// of `htpb_run --scenario <name>` and of bench_defense_sweep.
+// of `htpb_run --scenario <name>`.
 //
 // One printer per ScenarioKind, each reading only the run_scenario
 // envelope, so a report can be re-rendered from any saved `--json` tree.

@@ -11,13 +11,24 @@
 // new specs (or spec files), not new binaries.
 //
 // Serialization contract (locked by tests/scenario/spec_test.cpp):
+//  - The schema is one field list per section struct (spec.cpp names
+//    every (key, member) pair once); one generic writer and one strict
+//    reader walk those lists. Only ScenarioSpec's own to_json/from_json
+//    are written out, for the schema_version / quick / name checks.
 //  - to_json / from_json round-trip exactly: from_json(to_json(s)) == s,
 //    including double fields bit for bit.
 //  - from_json is strict: unknown keys anywhere in the document are an
 //    error (typos must not silently change an experiment), and
 //    schema_version must match kSchemaVersion.
-//  - Axis fields are emitted sparsely: a spec's JSON only carries the
-//    sections its kind reads, so checked-in spec files stay readable.
+//  - Integers must fit the member's type: a width beyond int, a NodeId
+//    beyond uint32 or a negative Cycle/seed is rejected with its dotted
+//    path ("scenario.system.width"), never truncated.
+//  - Members are emitted sparsely (only values that differ from the
+//    default; an engaged optional always appears), array entries densely,
+//    so checked-in spec files stay readable.
+//
+// C++ callers (the registry, tests) fill a ScenarioSpec's fields directly
+// and call validate(); mesh_for_size() maps paper node counts to shapes.
 #pragma once
 
 #include <cstdint>
@@ -239,8 +250,8 @@ struct RocSpec {
 };
 
 /// Kind-specific sweep axes. Sparse: a spec serializes only the fields
-/// its kind reads (spec.cpp documents the mapping kind -> fields), and
-/// validate() checks the required ones are populated.
+/// that differ from these defaults, and validate() checks that the ones
+/// its kind reads are populated.
 struct AxesSpec {
   // kInfectionVsHtCount
   std::vector<InfectionArm> arms;
@@ -361,58 +372,5 @@ struct ScenarioSpec {
 /// members; throws std::runtime_error when the path crosses a non-object.
 void apply_override(json::Value& spec_json, std::string_view dotted_key,
                     std::string_view value_text);
-
-/// Fluent builder for C++ callers (the registry is written with it).
-/// Chainable setters cover the common scalar fields; axes() hands out the
-/// axes section for kind-specific sweeps; build() validates.
-class ScenarioBuilder {
- public:
-  ScenarioBuilder(std::string name, ScenarioKind kind);
-
-  ScenarioBuilder& title(std::string text);
-  ScenarioBuilder& paper_ref(std::string text);
-  ScenarioBuilder& expectation(std::string text);
-
-  ScenarioBuilder& mesh(int width, int height);
-  /// Paper preset shapes (64/128/256/512).
-  ScenarioBuilder& size(int nodes);
-  ScenarioBuilder& epoch_cycles(Cycle cycles);
-  ScenarioBuilder& first_epoch_cycle(Cycle cycle);
-  ScenarioBuilder& budget_fraction(double fraction);
-  ScenarioBuilder& budgeter(power::BudgeterKind kind);
-  ScenarioBuilder& guard_requests(bool on);
-  ScenarioBuilder& gm_placement(system::GmPlacement placement);
-
-  ScenarioBuilder& mix(std::string name);
-  /// All four Table III mixes, in order.
-  ScenarioBuilder& standard_mixes();
-  ScenarioBuilder& threads_per_app(int threads);
-
-  ScenarioBuilder& trojan_active(bool active);
-  ScenarioBuilder& victim_scale(double scale);
-  ScenarioBuilder& attacker_boost(double boost);
-  ScenarioBuilder& toggle_period(int epochs);
-
-  ScenarioBuilder& warmup_epochs(int epochs);
-  ScenarioBuilder& measure_epochs(int epochs);
-  ScenarioBuilder& detector(DetectorSpec spec);
-  ScenarioBuilder& response(ResponseSpec spec);
-  ScenarioBuilder& adaptation(AdaptationSpec spec);
-  ScenarioBuilder& seed(std::uint64_t value);
-  ScenarioBuilder& threads(int count);
-
-  /// Quick overlay, written as JSON text for readability at call sites.
-  ScenarioBuilder& quick(std::string_view overlay_json);
-
-  [[nodiscard]] AxesSpec& axes() noexcept { return spec_.axes; }
-  [[nodiscard]] SystemSpec& system() noexcept { return spec_.system; }
-  [[nodiscard]] WorkloadSpec& workload() noexcept { return spec_.workload; }
-
-  /// Validates and returns the spec (by value; the builder stays usable).
-  [[nodiscard]] ScenarioSpec build() const;
-
- private:
-  ScenarioSpec spec_;
-};
 
 }  // namespace htpb::scenario

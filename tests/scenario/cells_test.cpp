@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "scenario/runner.hpp"
@@ -18,13 +19,11 @@
 namespace {
 
 using htpb::json::Value;
-using htpb::scenario::AdaptationSpec;
 using htpb::scenario::CellPlan;
 using htpb::scenario::ClusterSpec;
 using htpb::scenario::DetectorSpec;
 using htpb::scenario::ResponseSpec;
 using htpb::scenario::RunOptions;
-using htpb::scenario::ScenarioBuilder;
 using htpb::scenario::ScenarioKind;
 using htpb::scenario::ScenarioSpec;
 
@@ -47,9 +46,20 @@ Value without_timing(const Value& v) {
   return Value(std::move(out));
 }
 
+/// A 64-node spec of `kind`; each test sets the axes its kind sweeps.
+ScenarioSpec small_spec(std::string name, ScenarioKind kind) {
+  ScenarioSpec s;
+  s.name = std::move(name);
+  s.kind = kind;
+  std::tie(s.system.width, s.system.height) =
+      htpb::scenario::mesh_for_size(64);
+  return s;
+}
+
 /// The claim under test: run whole, then run sliced + merged, compare.
 void expect_merge_bit_identical(const ScenarioSpec& spec,
                                 std::size_t expected_cells) {
+  spec.validate();
   const RunOptions opts = pinned_threads();
   const ScenarioSpec resolved = htpb::scenario::resolve(spec, opts);
 
@@ -70,11 +80,13 @@ void expect_merge_bit_identical(const ScenarioSpec& spec,
 }
 
 TEST(CellsTest, CellIdsAreUniqueAndOrderStable) {
-  ScenarioBuilder b("cells-ablation", ScenarioKind::kBudgeterAblation);
-  b.size(64).mix("mix-1").warmup_epochs(1).measure_epochs(2);
-  b.axes().budgeters = {power::BudgeterKind::kUniform,
-                        power::BudgeterKind::kGreedy};
-  const ScenarioSpec spec = b.build();
+  ScenarioSpec spec = small_spec("cells-ablation",
+                                 ScenarioKind::kBudgeterAblation);
+  spec.workload.mix = "mix-1";
+  spec.epochs = {1, 2};
+  spec.axes.budgeters = {power::BudgeterKind::kUniform,
+                         power::BudgeterKind::kGreedy};
+  spec.validate();
   const auto plan = htpb::scenario::expand_cells(spec);
   ASSERT_EQ(plan.size(), 2U);
   EXPECT_EQ(plan[0].id, "c000-uniform");
@@ -88,92 +100,96 @@ TEST(CellsTest, CellIdsAreUniqueAndOrderStable) {
 }
 
 TEST(CellsTest, BudgeterAblationMergesBitIdentical) {
-  ScenarioBuilder b("cells-ablation", ScenarioKind::kBudgeterAblation);
-  b.size(64).mix("mix-1").warmup_epochs(1).measure_epochs(2);
-  b.axes().budgeters = {power::BudgeterKind::kUniform,
-                        power::BudgeterKind::kGreedy,
-                        power::BudgeterKind::kProportional};
-  expect_merge_bit_identical(b.build(), 3);
+  ScenarioSpec s = small_spec("cells-ablation",
+                              ScenarioKind::kBudgeterAblation);
+  s.workload.mix = "mix-1";
+  s.epochs = {1, 2};
+  s.axes.budgeters = {power::BudgeterKind::kUniform,
+                      power::BudgeterKind::kGreedy,
+                      power::BudgeterKind::kProportional};
+  expect_merge_bit_identical(s, 3);
 }
 
 TEST(CellsTest, InfectionVsHtCountMergesBitIdentical) {
-  ScenarioBuilder b("cells-fig3", ScenarioKind::kInfectionVsHtCount);
-  b.size(64).warmup_epochs(0).measure_epochs(1);
-  b.axes().arms = {{64, {2, 4}}, {128, {2}}};
-  b.axes().gm_placements = {htpb::system::GmPlacement::kCenter,
-                            htpb::system::GmPlacement::kCorner};
-  b.axes().seeds = 2;
-  expect_merge_bit_identical(b.build(), 3);
+  ScenarioSpec s =
+      small_spec("cells-fig3", ScenarioKind::kInfectionVsHtCount);
+  s.epochs = {0, 1};
+  s.axes.arms = {{64, {2, 4}}, {128, {2}}};
+  s.axes.gm_placements = {htpb::system::GmPlacement::kCenter,
+                          htpb::system::GmPlacement::kCorner};
+  s.axes.seeds = 2;
+  expect_merge_bit_identical(s, 3);
 }
 
 TEST(CellsTest, InfectionVsDistributionMergesBitIdentical) {
-  ScenarioBuilder b("cells-fig4", ScenarioKind::kInfectionVsDistribution);
-  b.size(64).warmup_epochs(0).measure_epochs(1);
-  b.axes().sizes = {64, 128};
-  b.axes().ht_divisors = {16, 8};
-  b.axes().seeds = 2;
-  expect_merge_bit_identical(b.build(), 4);
+  ScenarioSpec s =
+      small_spec("cells-fig4", ScenarioKind::kInfectionVsDistribution);
+  s.epochs = {0, 1};
+  s.axes.sizes = {64, 128};
+  s.axes.ht_divisors = {16, 8};
+  s.axes.seeds = 2;
+  expect_merge_bit_identical(s, 4);
 }
 
 TEST(CellsTest, AttackEffectMergesBitIdentical) {
-  ScenarioBuilder b("cells-fig5", ScenarioKind::kAttackEffect);
-  b.size(64).warmup_epochs(1).measure_epochs(2);
-  b.workload().mixes = {"mix-1", "mix-2"};
-  b.axes().infection_targets = {0.2, 0.6};
-  b.axes().placement_max_hts = 16;
-  expect_merge_bit_identical(b.build(), 2);
+  ScenarioSpec s = small_spec("cells-fig5", ScenarioKind::kAttackEffect);
+  s.epochs = {1, 2};
+  s.workload.mixes = {"mix-1", "mix-2"};
+  s.axes.infection_targets = {0.2, 0.6};
+  s.axes.placement_max_hts = 16;
+  expect_merge_bit_identical(s, 2);
 }
 
 TEST(CellsTest, PlacementStudySeedRebasingMergesBitIdentical) {
   // The one split that REBASES the cell seed (stream = seed + mix index):
   // a non-default seed catches any off-by-one in the rebase.
-  ScenarioBuilder b("cells-secvc", ScenarioKind::kPlacementStudy);
-  b.size(64).warmup_epochs(1).measure_epochs(2).seed(7);
-  b.workload().mixes = {"mix-1", "mix-3"};
-  b.axes().nodes = 64;
-  b.axes().max_hts = 4;
-  b.axes().train_samples = 10;  // must cover the effect model's coefficients
-  b.axes().random_trials = 2;
-  b.axes().candidates_per_m = 6;
-  b.axes().shortlist = 2;
-  expect_merge_bit_identical(b.build(), 2);
+  ScenarioSpec s = small_spec("cells-secvc", ScenarioKind::kPlacementStudy);
+  s.epochs = {1, 2};
+  s.seed = 7;
+  s.workload.mixes = {"mix-1", "mix-3"};
+  s.axes.nodes = 64;
+  s.axes.max_hts = 4;
+  s.axes.train_samples = 10;  // must cover the effect model's coefficients
+  s.axes.random_trials = 2;
+  s.axes.candidates_per_m = 6;
+  s.axes.shortlist = 2;
+  expect_merge_bit_identical(s, 2);
 }
 
 TEST(CellsTest, DefenseClosedLoopMergesBitIdentical) {
-  ScenarioBuilder b("cells-loop", ScenarioKind::kDefenseClosedLoop);
-  b.size(64)
-      .mix("mix-1")
-      .victim_scale(0.10)
-      .attacker_boost(8.0)
-      .trojan_active(false)
-      .toggle_period(2)
-      .warmup_epochs(1)
-      .measure_epochs(3)
-      .detector(DetectorSpec{})
-      .response(ResponseSpec{})
-      .adaptation(AdaptationSpec{});
-  b.axes().placements = {{ClusterSpec::At::kGm, 8},
-                         {ClusterSpec::At::kQuarter, 8}};
-  b.axes().responses = {power::ResponseKind::kQuarantine,
-                        power::ResponseKind::kThrottle};
+  ScenarioSpec s =
+      small_spec("cells-loop", ScenarioKind::kDefenseClosedLoop);
+  s.workload.mix = "mix-1";
+  s.trojan.victim_scale = 0.10;
+  s.trojan.attacker_boost = 8.0;
+  s.trojan.active = false;
+  s.trojan.toggle_period_epochs = 2;
+  s.epochs = {1, 3};
+  s.detector = DetectorSpec{};
+  s.response = ResponseSpec{};
+  s.axes.placements = {{ClusterSpec::At::kGm, 8},
+                       {ClusterSpec::At::kQuarter, 8}};
+  s.axes.responses = {power::ResponseKind::kQuarantine,
+                      power::ResponseKind::kThrottle};
   // Cell 0 carries placement 0, so the merged duty_comparison (defined
   // on the first placement's response-free arms) comes from it verbatim.
-  expect_merge_bit_identical(b.build(), 2);
+  expect_merge_bit_identical(s, 2);
 }
 
 TEST(CellsTest, SingleCellKindsPassThrough) {
-  ScenarioBuilder b("cells-table1", ScenarioKind::kConfigReport);
-  b.size(64);
-  expect_merge_bit_identical(b.build(), 1);
+  expect_merge_bit_identical(
+      small_spec("cells-table1", ScenarioKind::kConfigReport), 1);
 }
 
 TEST(CellsTest, FailedCellsLeaveHolesNotInvalidTrees) {
-  ScenarioBuilder b("cells-ablation", ScenarioKind::kBudgeterAblation);
-  b.size(64).mix("mix-1").warmup_epochs(1).measure_epochs(2);
-  b.axes().budgeters = {power::BudgeterKind::kUniform,
-                        power::BudgeterKind::kGreedy,
-                        power::BudgeterKind::kProportional};
-  const ScenarioSpec spec = b.build();
+  ScenarioSpec spec = small_spec("cells-ablation",
+                                 ScenarioKind::kBudgeterAblation);
+  spec.workload.mix = "mix-1";
+  spec.epochs = {1, 2};
+  spec.axes.budgeters = {power::BudgeterKind::kUniform,
+                         power::BudgeterKind::kGreedy,
+                         power::BudgeterKind::kProportional};
+  spec.validate();
   const auto plan = htpb::scenario::expand_cells(spec);
 
   std::vector<Value> results(plan.size());  // all null = all failed
@@ -189,11 +205,12 @@ TEST(CellsTest, FailedCellsLeaveHolesNotInvalidTrees) {
 }
 
 TEST(CellsTest, MergeRejectsCellCountMismatch) {
-  ScenarioBuilder b("cells-ablation", ScenarioKind::kBudgeterAblation);
-  b.size(64).mix("mix-1");
-  b.axes().budgeters = {power::BudgeterKind::kUniform,
-                        power::BudgeterKind::kGreedy};
-  const ScenarioSpec spec = b.build();
+  ScenarioSpec spec = small_spec("cells-ablation",
+                                 ScenarioKind::kBudgeterAblation);
+  spec.workload.mix = "mix-1";
+  spec.axes.budgeters = {power::BudgeterKind::kUniform,
+                         power::BudgeterKind::kGreedy};
+  spec.validate();
   const std::vector<Value> wrong(3);
   EXPECT_THROW(
       (void)htpb::scenario::merge_cell_results(spec, false, 2, wrong),

@@ -17,6 +17,7 @@
 
 #include <cstdio>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -283,18 +284,19 @@ TEST(ScenarioRunner, DefenseRocQuickBitIdenticalToLegacyBenchPath) {
 /// A deliberately small stochastic scenario (one mix, one coverage
 /// target) so the determinism properties are cheap to assert.
 ScenarioSpec small_attack_spec() {
-  ScenarioBuilder b("small-attack", ScenarioKind::kAttackEffect);
-  b.title("t").paper_ref("p").expectation("e");
-  b.size(64)
-      .epoch_cycles(1500)
-      .victim_scale(0.10)
-      .attacker_boost(8.0)
-      .warmup_epochs(1)
-      .measure_epochs(2);
-  b.workload().mixes = {"mix-1"};
-  b.axes().infection_targets = {0.5};
-  b.axes().placement_max_hts = 16;
-  return b.build();
+  ScenarioSpec s;
+  s.name = "small-attack";
+  s.kind = ScenarioKind::kAttackEffect;
+  std::tie(s.system.width, s.system.height) = mesh_for_size(64);
+  s.system.epoch_cycles = 1500;
+  s.trojan.victim_scale = 0.10;
+  s.trojan.attacker_boost = 8.0;
+  s.epochs = {1, 2};
+  s.workload.mixes = {"mix-1"};
+  s.axes.infection_targets = {0.5};
+  s.axes.placement_max_hts = 16;
+  s.validate();
+  return s;
 }
 
 TEST(ScenarioRunner, SameSeedSameResultDifferentSeedDiffers) {

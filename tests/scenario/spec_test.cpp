@@ -1,6 +1,7 @@
 // The ScenarioSpec serialization contract: exact JSON round trips,
-// unknown-key rejection, schema versioning, exhaustive enum <-> string
-// maps, the quick overlay, the --set override grammar and the builder.
+// unknown-key rejection, integer range checks, schema versioning,
+// exhaustive enum <-> string maps, the quick overlay and the --set
+// override grammar.
 #include "scenario/spec.hpp"
 
 #include <gtest/gtest.h>
@@ -13,57 +14,60 @@ namespace {
 /// A spec exercising every section and most axis fields with non-default
 /// values (the round trip must preserve each one).
 ScenarioSpec full_spec() {
-  ScenarioBuilder b("kitchen-sink", ScenarioKind::kDefenseClosedLoop);
-  b.title("t").paper_ref("p").expectation("e");
-  b.mesh(10, 6)
-      .epoch_cycles(1234)
-      .first_epoch_cycle(77)
-      .budget_fraction(0.37)
-      .budgeter(power::BudgeterKind::kMarket)
-      .guard_requests(true)
-      .gm_placement(system::GmPlacement::kCorner)
-      .mix("mix-2")
-      .threads_per_app(4)
-      .trojan_active(false)
-      .victim_scale(0.21)
-      .attacker_boost(5.5)
-      .toggle_period(3)
-      .warmup_epochs(1)
-      .measure_epochs(4)
-      .seed(987654321)
-      .threads(3)
-      .quick(R"({"epochs": {"measure": 2}})");
-  DetectorSpec det;
+  ScenarioSpec s;
+  s.name = "kitchen-sink";
+  s.kind = ScenarioKind::kDefenseClosedLoop;
+  s.title = "t";
+  s.paper_ref = "p";
+  s.expectation = "e";
+  s.system.width = 10;
+  s.system.height = 6;
+  s.system.epoch_cycles = 1234;
+  s.system.first_epoch_cycle = 77;
+  s.system.budget_fraction = 0.37;
+  s.system.budgeter = power::BudgeterKind::kMarket;
+  s.system.guard_requests = true;
+  s.system.gm_placement = system::GmPlacement::kCorner;
+  s.system.seed = 17;
+  s.workload.mix = "mix-2";
+  s.workload.threads_per_app = 4;
+  s.trojan.active = false;
+  s.trojan.victim_scale = 0.21;
+  s.trojan.attacker_boost = 5.5;
+  s.trojan.toggle_period_epochs = 3;
+  s.epochs = {1, 4};
+  s.seed = 987654321;
+  s.threads = 3;
+  s.quick = json::parse(R"({"epochs": {"measure": 2}})");
+  DetectorSpec& det = s.detector.emplace();
   det.kind = power::DetectorKind::kCohortMedian;
   det.low_ratio = 0.5;
   det.high_ratio = 1.9;
   det.history_alpha = 0.3;
   det.warmup_epochs = 1;
   det.confirm_epochs = 3;
-  b.detector(det);
-  ResponseSpec resp;
+  ResponseSpec& resp = s.response.emplace();
   resp.kind = power::ResponseKind::kThrottle;
   resp.trigger = power::ResponseTrigger::kBoth;
   resp.sanction_epochs = 5;
   resp.recovery_threshold = 0.8;
-  b.response(resp);
-  AdaptationSpec adapt;  // parameters without the switch: enabled stays off
+  // Parameters without the switch: enabled stays off.
+  AdaptationSpec& adapt = s.trojan.adaptation;
   adapt.alpha = 0.25;
   adapt.backoff_ratio = 0.5;
   adapt.max_on_epochs = 2;
   adapt.hold_off_epochs = 3;
-  b.adaptation(adapt);
-  b.system().seed = 17;
-  b.axes().responses = {power::ResponseKind::kThrottle,
-                        power::ResponseKind::kMigrate};
-  b.axes().bands = {{0.7, 1.4}, {0.33, 2.9}};
-  b.axes().placements = {{ClusterSpec::At::kQuarter, 6},
-                         {ClusterSpec::At::kCorner, 4}};
-  b.axes().roc.periods = {0, 2};
-  b.axes().roc.factors = {0.25, 0.75};
-  b.axes().roc.placements = 1;
-  b.axes().roc.epoch0_first_epoch_cycle = 555;
-  return b.build();
+  s.axes.responses = {power::ResponseKind::kThrottle,
+                      power::ResponseKind::kMigrate};
+  s.axes.bands = {{0.7, 1.4}, {0.33, 2.9}};
+  s.axes.placements = {{ClusterSpec::At::kQuarter, 6},
+                       {ClusterSpec::At::kCorner, 4}};
+  s.axes.roc.periods = {0, 2};
+  s.axes.roc.factors = {0.25, 0.75};
+  s.axes.roc.placements = 1;
+  s.axes.roc.epoch0_first_epoch_cycle = 555;
+  s.validate();
+  return s;
 }
 
 TEST(ScenarioSpec, RoundTripIsExact) {
@@ -244,15 +248,21 @@ TEST(ScenarioSpec, ValidateCatchesBadSpecs) {
   EXPECT_THROW(spec.validate(), std::invalid_argument);
 }
 
-TEST(ScenarioSpec, BuilderValidatesAtBuildTime) {
-  ScenarioBuilder b("bad", ScenarioKind::kDefenseSweep);
-  EXPECT_THROW((void)b.build(), std::invalid_argument);  // no bands
+TEST(ScenarioSpec, ValidateAndQuickOverlayRejectIncompleteSpecs) {
+  ScenarioSpec bad;
+  bad.name = "bad";
+  bad.kind = ScenarioKind::kDefenseSweep;
+  EXPECT_THROW(bad.validate(), std::invalid_argument);  // no bands
 
-  ScenarioBuilder typo("typo", ScenarioKind::kBudgeterAblation);
-  typo.mix("mix-1");
-  typo.axes().budgeters = {power::BudgeterKind::kGreedy};
-  typo.quick(R"({"epoch": {"measure": 2}})");  // typo'd section
-  EXPECT_THROW((void)typo.build(), std::runtime_error);
+  ScenarioSpec typo;
+  typo.name = "typo";
+  typo.kind = ScenarioKind::kBudgeterAblation;
+  typo.workload.mix = "mix-1";
+  typo.axes.budgeters = {power::BudgeterKind::kGreedy};
+  // The overlay's section name is typo'd.
+  typo.quick = json::parse(R"({"epoch": {"measure": 2}})");
+  EXPECT_NO_THROW(typo.validate());
+  EXPECT_THROW((void)typo.with_quick(), std::runtime_error);
 }
 
 // Robustness property: every mutation of the closed-loop spec's JSON --
@@ -353,6 +363,62 @@ TEST(ScenarioSpec, ResponseMutationCorpusIsCleanlyRejected) {
   // An empty response axis on a closed-loop scenario has nothing to run.
   rejected(mutate("axes.responses", json::Value(json::Array{})),
            "responses empty");
+}
+
+// Integers that do not fit their member, and epoch lengths the simulator
+// cannot run, are rejected with the dotted path named -- never truncated
+// (2^32 + 4 must not read as width 4) and never simulated (an epoch of
+// 2^64 - 1 cycles never ends).
+TEST(ScenarioSpec, IntegerRangeCorpusIsCleanlyRejected) {
+  const json::Value base = scenario_or_throw("fig5").to_json();
+  const auto rejected = [&](const char* key, const char* value,
+                            const char* path) {
+    json::Value j = base;
+    apply_override(j, key, value);
+    try {
+      ScenarioSpec::from_json(j).validate();
+      ADD_FAILURE() << "accepted " << key << "=" << value;
+    } catch (const std::exception& e) {
+      EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+          << key << "=" << value << ": " << e.what();
+    }
+  };
+  rejected("system.width", "4294967300", "scenario.system.width");
+  rejected("system.height", "-4294967296", "scenario.system.height");
+  rejected("system.gm_node", "4294967296", "scenario.system.gm_node");
+  rejected("system.gm_node", "-1", "scenario.system.gm_node");
+  rejected("system.epoch_cycles", "-1", "scenario.system.epoch_cycles");
+  rejected("system.epoch_cycles", "0", "system.epoch_cycles");
+  rejected("system.first_epoch_cycle", "-1",
+           "scenario.system.first_epoch_cycle");
+  rejected("system.seed", "-1", "scenario.system.seed");
+  rejected("seed", "-1", "scenario.seed");
+  rejected("threads", "2147483648", "scenario.threads");
+  rejected("axes.placement_max_hts", "2147483648",
+           "scenario.axes.placement_max_hts");
+  rejected("axes.placement_max_hts", "9223372036854775807",
+           "scenario.axes.placement_max_hts");
+  rejected("axes.roc.epoch0_first_epoch_cycle", "-600",
+           "scenario.axes.roc.epoch0_first_epoch_cycle");
+  rejected("axes.sizes", "[64, 4294967360]", "scenario.axes.sizes[]");
+  rejected("axes.flood_sources", "[-1]", "scenario.axes.flood_sources[]");
+  rejected("axes.arms", R"([{"nodes": 4294967360, "ht_counts": [2]}])",
+           "scenario.axes.arms[].nodes");
+  rejected("axes.arms", R"([{"nodes": 64, "ht_counts": [2147483648]}])",
+           "scenario.axes.arms[].ht_counts[]");
+
+  // The type's own bounds still read back exactly.
+  json::Value edge = base;
+  apply_override(edge, "system.gm_node", "4294967295");
+  apply_override(edge, "axes.placement_max_hts", "2147483647");
+  const ScenarioSpec read = ScenarioSpec::from_json(edge);
+  EXPECT_EQ(read.system.gm_node, NodeId{4294967295U});
+  EXPECT_EQ(read.axes.placement_max_hts, 2147483647);
+
+  // The writer refuses a seed JSON cannot carry instead of wrapping it.
+  ScenarioSpec huge = scenario_or_throw("fig5");
+  huge.seed = std::uint64_t{1} << 63;
+  EXPECT_THROW((void)huge.to_json(), std::invalid_argument);
 }
 
 TEST(ScenarioSpec, DefenseSweepRejectsResponses) {

@@ -54,11 +54,13 @@ struct RunResult {
   std::string err;
 };
 
-RunResult run_tool(const TempDir& dir, const std::string& args) {
+/// `prefix` wraps the binary (e.g. "timeout 30 ").
+RunResult run_tool(const TempDir& dir, const std::string& args,
+                   const std::string& prefix = "") {
   const fs::path out = dir.path() / "stdout.txt";
   const fs::path err = dir.path() / "stderr.txt";
-  const std::string cmd = std::string("\"") + HTPB_RUN_BINARY + "\" " +
-                          args + " > \"" + out.string() + "\" 2> \"" +
+  const std::string cmd = prefix + "\"" + HTPB_RUN_BINARY + "\" " + args +
+                          " > \"" + out.string() + "\" 2> \"" +
                           err.string() + "\"";
   const int status = std::system(cmd.c_str());
   RunResult r;
@@ -202,6 +204,18 @@ TEST(HtpbRunE2e, BadSetOverridesFailLoudly) {
   EXPECT_EQ(range.exit_code, 1);
   EXPECT_NE(range.err.find("sanction_epochs"), std::string::npos)
       << range.err;
+}
+
+// Regression test for a hang: a negative epoch length must not wrap to
+// 2^64 - 1 cycles (a run that never reaches its first epoch boundary).
+// The strict reader refuses it up front, naming the field; `timeout`
+// bounds the check so a regression fails instead of stalling the suite.
+TEST(HtpbRunE2e, NegativeEpochCyclesIsAUsageErrorNotAHang) {
+  const TempDir dir;
+  const RunResult r = run_tool(
+      dir, "--scenario table2 --set system.epoch_cycles=-1", "timeout 30 ");
+  EXPECT_EQ(r.exit_code, 2) << r.err;  // timeout's 124 on a hang
+  EXPECT_NE(r.err.find("system.epoch_cycles"), std::string::npos) << r.err;
 }
 
 TEST(HtpbRunE2e, UnknownArgumentPrintsUsage) {

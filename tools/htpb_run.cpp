@@ -26,6 +26,11 @@
 //   --replay-trace <path>  replay a saved trace through the scenario's
 //                          detector grid -- no simulation at all
 //
+// Exit status: 0 on success; 1 when the spec or the run fails (unknown
+// key, validate() error, unreadable file); 2 on a malformed command line
+// (unknown flag, --set without '=', a --set integer its field cannot
+// hold, a non-numeric --seed/--threads).
+//
 // A scenario run prints its report (scenario/report.hpp: the header and
 // the kind's tables) to stdout unless `--json -` sends the JSON there;
 // `--json out.json` gives both. Results are bit-identical across thread
@@ -38,6 +43,7 @@
 #include <cstring>
 #include <exception>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -202,7 +208,14 @@ int main(int argc, char** argv) {
         htpb::scenario::apply_override(spec_json, kv.substr(0, eq),
                                        kv.substr(eq + 1));
       }
-      spec = ScenarioSpec::from_json(spec_json);
+      try {
+        spec = ScenarioSpec::from_json(spec_json);
+      } catch (const std::out_of_range& e) {
+        // Like a --seed that is not a non-negative integer: a --set
+        // integer its field cannot hold is a malformed argument.
+        std::fprintf(stderr, "%s: --set: %s\n", argv[0], e.what());
+        return 2;
+      }
       spec.validate();
     }
     opts.quick = quick;  // after with_quick() above this is a no-op merge

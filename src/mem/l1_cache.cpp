@@ -129,18 +129,17 @@ void L1Cache::handle_invalidate(const noc::Packet& pkt) {
 json::Value L1Cache::save_state() const {
   json::Object o;
   json::Array lines;
-  for (std::size_t i = 0; i < cache_.capacity_lines(); ++i) {
-    const auto& line = cache_.line_at(i);
-    if (!line.valid) continue;
+  cache_.for_each_valid([&lines](std::size_t slot,
+                                 const SetAssocCache<LineData>::Line& line) {
     json::Array a;
-    a.push_back(common::ju64(i));
+    a.push_back(common::ju64(slot));
     a.push_back(common::ju64(line.addr));
     a.push_back(common::ju64(line.lru));
     a.push_back(json::Value(static_cast<long long>(
         static_cast<std::uint8_t>(line.data.state))));
     a.push_back(json::Value(static_cast<long long>(line.data.gen)));
     lines.push_back(json::Value(std::move(a)));
-  }
+  });
   o["lines"] = json::Value(std::move(lines));
   o["clock"] = common::ju64(cache_.lru_clock());
   std::vector<std::uint64_t> addrs;
@@ -175,12 +174,11 @@ json::Value L1Cache::save_state() const {
 
 void L1Cache::load_state(const json::Value& v) {
   const json::Object& o = v.as_object();
-  for (std::size_t i = 0; i < cache_.capacity_lines(); ++i) {
-    cache_.line_at(i) = SetAssocCache<LineData>::Line{};
-  }
+  cache_.clear();
   for (const json::Value& lv : o.find("lines")->as_array()) {
     const json::Array& a = lv.as_array();
-    auto& line = cache_.line_at(static_cast<std::size_t>(common::pu64(a.at(0))));
+    auto& line =
+        cache_.restore_slot(static_cast<std::size_t>(common::pu64(a.at(0))));
     line.addr = common::pu64(a.at(1));
     line.valid = true;
     line.lru = common::pu64(a.at(2));

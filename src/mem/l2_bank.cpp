@@ -245,11 +245,10 @@ L2Bank::Request L2Bank::request_from_json(const json::Value& v) {
 json::Value L2Bank::save_state() const {
   json::Object o;
   json::Array lines;
-  for (std::size_t i = 0; i < cache_.capacity_lines(); ++i) {
-    const auto& line = cache_.line_at(i);
-    if (!line.valid) continue;
+  cache_.for_each_valid([&lines](std::size_t slot,
+                                 const SetAssocCache<DirEntry>::Line& line) {
     json::Object lo;
-    lo["slot"] = common::ju64(i);
+    lo["slot"] = common::ju64(slot);
     lo["addr"] = common::ju64(line.addr);
     lo["lru"] = common::ju64(line.lru);
     lo["state"] = json::Value(static_cast<long long>(
@@ -262,7 +261,7 @@ json::Value L2Bank::save_state() const {
     lo["sharers"] = json::Value(std::move(sharers));
     lo["gen"] = json::Value(static_cast<long long>(line.data.gen));
     lines.push_back(json::Value(std::move(lo)));
-  }
+  });
   o["lines"] = json::Value(std::move(lines));
   o["clock"] = common::ju64(cache_.lru_clock());
   std::vector<std::uint64_t> addrs;
@@ -299,19 +298,16 @@ json::Value L2Bank::save_state() const {
 
 void L2Bank::load_state(const json::Value& v) {
   const json::Object& o = v.as_object();
-  for (std::size_t i = 0; i < cache_.capacity_lines(); ++i) {
-    cache_.line_at(i) = SetAssocCache<DirEntry>::Line{};
-  }
+  cache_.clear();
   for (const json::Value& lv : o.find("lines")->as_array()) {
     const json::Object& lo = lv.as_object();
-    auto& line = cache_.line_at(
+    auto& line = cache_.restore_slot(
         static_cast<std::size_t>(common::pu64(*lo.find("slot"))));
     line.addr = common::pu64(*lo.find("addr"));
     line.valid = true;
     line.lru = common::pu64(*lo.find("lru"));
     line.data.state = static_cast<DirState>(lo.find("state")->as_int());
     line.data.owner = static_cast<NodeId>(lo.find("owner")->as_int());
-    line.data.sharers.clear();
     for (const json::Value& sv : lo.find("sharers")->as_array()) {
       line.data.sharers.push_back(static_cast<NodeId>(sv.as_int()));
     }

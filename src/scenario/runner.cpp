@@ -136,33 +136,49 @@ namespace {
 /// Fig. 3, one (arm, HT count) cell. Stochastic contract (= the legacy
 /// bench): random placements for (seed index s, #HTs h) draw from
 /// Rng(seed + s*77 + h); the default seed 1000 reproduces the
-/// pre-registry bench bit for bit.
-json::Value run_infection_vs_ht_count(const ScenarioSpec& spec) {
+/// pre-registry bench bit for bit. The placements are drawn serially,
+/// the (GM placement x seed) runs fan out across the pool, and each GM
+/// placement's rates are summed in seed order, so the cell is identical
+/// at any thread count.
+json::Value run_infection_vs_ht_count(const ScenarioSpec& spec,
+                                      const core::ParallelSweepRunner& runner) {
   const InfectionArm& arm = spec.axes.arms.front();
   const int hts = arm.ht_counts.front();
-  json::Array cells;
+  const auto seeds = static_cast<std::size_t>(spec.axes.seeds);
+  std::vector<core::AttackCampaign> campaigns;
+  std::vector<std::vector<NodeId>> node_sets;  // GM-placement-major
+  std::vector<double> analytic;
   for (const system::GmPlacement gm : spec.axes.gm_placements) {
-    SystemSpec sys = system_with_size(spec.system, arm.nodes);
-    sys.gm_placement = gm;
     ScenarioSpec cell_spec = spec;
-    cell_spec.system = sys;
-    core::AttackCampaign campaign(campaign_config(cell_spec, ""));
-    const MeshGeometry geom(sys.width, sys.height);
+    cell_spec.system = system_with_size(spec.system, arm.nodes);
+    cell_spec.system.gm_placement = gm;
+    const core::AttackCampaign& campaign =
+        campaigns.emplace_back(campaign_config(cell_spec, ""));
+    const MeshGeometry geom(cell_spec.system.width, cell_spec.system.height);
     const core::InfectionAnalyzer analyzer(geom, campaign.gm_node());
-    double simulated = 0.0;
-    double analytic = 0.0;
-    for (int s = 0; s < spec.axes.seeds; ++s) {
-      Rng rng(spec.seed + static_cast<std::uint64_t>(s) * 77 +
-              static_cast<std::uint64_t>(hts));
-      const auto nodes =
-          core::random_placement(geom, hts, rng, campaign.gm_node());
-      simulated += campaign.run_infection_only(nodes);
-      analytic += analyzer.predicted_rate(nodes);
+    double predicted = 0.0;
+    for (std::size_t s = 0; s < seeds; ++s) {
+      Rng rng(spec.seed + s * 77 + static_cast<std::uint64_t>(hts));
+      node_sets.push_back(
+          core::random_placement(geom, hts, rng, campaign.gm_node()));
+      predicted += analyzer.predicted_rate(node_sets.back());
     }
+    analytic.push_back(predicted);
+  }
+  const std::vector<double> rates =
+      runner.map(node_sets.size(), [&](std::size_t i) {
+        core::AttackCampaign clone(campaigns[i / seeds]);
+        return clone.run_infection_only(node_sets[i]);
+      });
+
+  json::Array cells;
+  for (std::size_t g = 0; g < campaigns.size(); ++g) {
+    double simulated = 0.0;
+    for (std::size_t s = 0; s < seeds; ++s) simulated += rates[g * seeds + s];
     json::Object cell;
-    cell["gm"] = json::Value(to_string(gm));
+    cell["gm"] = json::Value(to_string(spec.axes.gm_placements[g]));
     cell["simulated"] = json::Value(simulated / spec.axes.seeds);
-    cell["analytic"] = json::Value(analytic / spec.axes.seeds);
+    cell["analytic"] = json::Value(analytic[g] / spec.axes.seeds);
     cells.push_back(json::Value(std::move(cell)));
   }
   json::Object row;
@@ -175,37 +191,46 @@ json::Value run_infection_vs_ht_count(const ScenarioSpec& spec) {
 }
 
 /// Fig. 4, one (divisor, size) cell. Random-placement trials draw from
-/// Rng(seed + s*13 + size); seed 500 reproduces the legacy bench.
-json::Value run_infection_vs_distribution(const ScenarioSpec& spec) {
+/// Rng(seed + s*13 + size); seed 500 reproduces the legacy bench. The
+/// center, corner and random-trial runs fan out across the pool; the
+/// trials are summed in seed order.
+json::Value run_infection_vs_distribution(
+    const ScenarioSpec& spec, const core::ParallelSweepRunner& runner) {
   const int divisor = spec.axes.ht_divisors.front();
   const int size = spec.axes.sizes.front();
   const int hts = size / divisor;
   ScenarioSpec cell_spec = spec;
   cell_spec.system = system_with_size(spec.system, size);
-  core::AttackCampaign campaign(campaign_config(cell_spec, ""));
+  const core::AttackCampaign campaign(campaign_config(cell_spec, ""));
   const MeshGeometry geom(cell_spec.system.width, cell_spec.system.height);
 
-  const auto center_nodes = core::clustered_placement(
-      geom, hts, geom.center(), campaign.gm_node());
-  const auto corner_nodes = core::clustered_placement(
-      geom, hts, MeshGeometry::corner(), campaign.gm_node());
-  const double rate_center = campaign.run_infection_only(center_nodes);
-  const double rate_corner = campaign.run_infection_only(corner_nodes);
-  double rate_random = 0.0;
+  // [center, corner, random trial 0, random trial 1, ...]
+  std::vector<std::vector<NodeId>> node_sets;
+  node_sets.push_back(core::clustered_placement(geom, hts, geom.center(),
+                                                campaign.gm_node()));
+  node_sets.push_back(core::clustered_placement(
+      geom, hts, MeshGeometry::corner(), campaign.gm_node()));
   for (int s = 0; s < spec.axes.seeds; ++s) {
     Rng rng(spec.seed + static_cast<std::uint64_t>(s) * 13 +
             static_cast<std::uint64_t>(size));
-    rate_random += campaign.run_infection_only(
+    node_sets.push_back(
         core::random_placement(geom, hts, rng, campaign.gm_node()));
   }
+  const std::vector<double> rates =
+      runner.map(node_sets.size(), [&](std::size_t i) {
+        core::AttackCampaign clone(campaign);
+        return clone.run_infection_only(node_sets[i]);
+      });
+  double rate_random = 0.0;
+  for (std::size_t i = 2; i < rates.size(); ++i) rate_random += rates[i];
   rate_random /= spec.axes.seeds;
 
   json::Object row;
   row["size"] = json::Value(size);
   row["hts"] = json::Value(hts);
-  row["center"] = json::Value(rate_center);
+  row["center"] = json::Value(rates[0]);
   row["random"] = json::Value(rate_random);
-  row["corner"] = json::Value(rate_corner);
+  row["corner"] = json::Value(rates[1]);
   json::Object d;
   d["divisor"] = json::Value(divisor);
   d["rows"] = json::Value(json::Array{json::Value(std::move(row))});
@@ -1029,9 +1054,9 @@ json::Value run_cell(const ScenarioSpec& cell,
                      json::Object& timing) {
   switch (cell.kind) {
     case ScenarioKind::kInfectionVsHtCount:
-      return run_infection_vs_ht_count(cell);
+      return run_infection_vs_ht_count(cell, runner);
     case ScenarioKind::kInfectionVsDistribution:
-      return run_infection_vs_distribution(cell);
+      return run_infection_vs_distribution(cell, runner);
     case ScenarioKind::kAttackEffect:
     case ScenarioKind::kPerformanceChange:
       return run_attack_sweep(cell, runner);

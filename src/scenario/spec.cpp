@@ -613,6 +613,15 @@ void ScenarioSpec::validate() const {
   if (schema_version != kSchemaVersion) {
     invalid(name, "unsupported schema_version");
   }
+  // SystemConfig::validate enforces the same cap; checked here first so
+  // the error names the spec fields.
+  const long long nodes = static_cast<long long>(system.width) * system.height;
+  if (nodes > system::SystemConfig::kMaxNodes) {
+    invalid(name, "scenario.system.width x scenario.system.height = " +
+                      std::to_string(nodes) + " nodes, above the " +
+                      std::to_string(system::SystemConfig::kMaxNodes) +
+                      "-node cap of 16-bit packet node ids");
+  }
   // The chip must build (mesh shape, GM bounds) for every simulating kind.
   system.to_system_config().validate();
   // Cycle is unsigned, so the reader already refused a negative
@@ -892,6 +901,30 @@ void apply_override(json::Value& spec_json, std::string_view dotted_key,
     if (node->is_null()) *node = json::Value(json::Object{});
     rest = rest.substr(dot + 1);
   }
+}
+
+ScenarioSpec apply_overrides(ScenarioSpec spec, bool quick,
+                             const std::vector<std::string>& sets) {
+  if (sets.empty()) return spec;
+  if (quick) spec = spec.with_quick();
+  json::Value spec_json = spec.to_json();
+  for (const std::string& kv : sets) {
+    const std::size_t eq = kv.find('=');
+    if (eq == std::string::npos || eq == 0) {
+      throw OverrideError("--set expects key=value, got \"" + kv + "\"");
+    }
+    apply_override(spec_json, std::string_view(kv).substr(0, eq),
+                   std::string_view(kv).substr(eq + 1));
+  }
+  try {
+    spec = ScenarioSpec::from_json(spec_json);
+  } catch (const std::out_of_range& e) {
+    // Like a --seed that is not a non-negative integer: a --set integer
+    // its field cannot hold is a malformed argument.
+    throw OverrideError(std::string("--set: ") + e.what());
+  }
+  spec.validate();
+  return spec;
 }
 
 }  // namespace htpb::scenario

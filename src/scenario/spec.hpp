@@ -33,6 +33,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -372,5 +373,22 @@ struct ScenarioSpec {
 /// members; throws std::runtime_error when the path crosses a non-object.
 void apply_override(json::Value& spec_json, std::string_view dotted_key,
                     std::string_view value_text);
+
+/// A malformed `--set` argument: not `key=value`, or an integer its field
+/// cannot hold. The CLI tools treat it as a usage error (exit 2); every
+/// other spec error stays a run failure (exit 1).
+class OverrideError : public std::invalid_argument {
+ public:
+  using std::invalid_argument::invalid_argument;
+};
+
+/// The `--set` front end shared by htpb_run and htpb_fleet. With no
+/// `sets` the spec comes back untouched (resolve() applies quick later).
+/// Otherwise the quick overlay goes first (when `quick`) and each
+/// "key=value" after it, in order, so an explicit override always wins;
+/// the result is re-read and validated. Throws OverrideError for a
+/// malformed argument.
+[[nodiscard]] ScenarioSpec apply_overrides(ScenarioSpec spec, bool quick,
+                                           const std::vector<std::string>& sets);
 
 }  // namespace htpb::scenario

@@ -11,6 +11,16 @@ void SystemConfig::validate() const {
         "SystemConfig: mesh must be at least 2x2 (got " +
         std::to_string(width) + "x" + std::to_string(height) + ")");
   }
+  // Widened: a huge width times a huge height overflows int.
+  const long long nodes = static_cast<long long>(width) * height;
+  if (nodes > kMaxNodes) {
+    throw std::invalid_argument(
+        "SystemConfig: width " + std::to_string(width) + " x height " +
+        std::to_string(height) + " = " + std::to_string(nodes) +
+        " nodes; node ids ride the packet frame's 16-bit source and "
+        "destination fields, so a mesh holds at most " +
+        std::to_string(kMaxNodes));
+  }
   if (gm_node.has_value() &&
       *gm_node >= static_cast<NodeId>(node_count())) {
     throw std::invalid_argument(

@@ -23,6 +23,10 @@ enum class GmPlacement {
 };
 
 struct SystemConfig {
+  /// Node ids travel in the paper's 16-bit packet source/destination
+  /// fields (noc/packet.hpp), which caps a mesh at 2^16 nodes.
+  static constexpr int kMaxNodes = 1 << 16;
+
   int width = 16;
   int height = 16;
 
@@ -71,7 +75,9 @@ struct SystemConfig {
 
   /// Throws std::invalid_argument when the shape or GM placement is
   /// unusable: meshes below 2x2 (XY routing and the GM placement presets
-  /// assume a real 2D mesh) or a pinned gm_node outside the mesh.
+  /// assume a real 2D mesh) or above kMaxNodes, or a pinned gm_node
+  /// outside the mesh. Allocates nothing, so a hostile size fails here
+  /// before any chip is built.
   /// ManyCoreSystem and AttackCampaign call this before building.
   void validate() const;
 

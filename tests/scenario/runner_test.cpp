@@ -6,7 +6,8 @@
 //     reference).
 //  2. Seed determinism -- same seed, same result tree; different seed,
 //     different tree (no stochastic entry point hides a default Rng).
-//  3. Thread invariance -- the tree is identical at 1 and N threads.
+//  3. Thread invariance -- the tree is identical at 1 and N threads
+//     (every registry scenario also in thread_invariance_test.cpp).
 //  4. Trace record/replay -- the scenario-level trace surface agrees with
 //     power::replay_detector, including through disk persistence.
 //  5. Paper-claim oracles -- fig3's tree has the paper's shape (infection
@@ -312,7 +313,11 @@ TEST(ScenarioRunner, SameSeedSameResultDifferentSeedDiffers) {
 }
 
 TEST(ScenarioRunner, ResultIsThreadCountInvariant) {
-  const ScenarioSpec spec = small_attack_spec();
+  // Two infection targets, so the pool gets two campaigns and the
+  // 4-thread run really runs them side by side.
+  ScenarioSpec spec = small_attack_spec();
+  spec.axes.infection_targets = {0.25, 0.5};
+  spec.validate();
   RunOptions one;
   one.threads = 1;
   RunOptions four;

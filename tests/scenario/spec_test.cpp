@@ -384,6 +384,9 @@ TEST(ScenarioSpec, IntegerRangeCorpusIsCleanlyRejected) {
     }
   };
   rejected("system.width", "4294967300", "scenario.system.width");
+  // Representable but past the 16-bit node ids: refused before any chip
+  // is built, not after it tries to allocate 1.6 M tiles.
+  rejected("system.width", "100000", "scenario.system.width");
   rejected("system.height", "-4294967296", "scenario.system.height");
   rejected("system.gm_node", "4294967296", "scenario.system.gm_node");
   rejected("system.gm_node", "-1", "scenario.system.gm_node");

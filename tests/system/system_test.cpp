@@ -165,6 +165,17 @@ TEST(ManyCoreSystem, WithMeshAcceptsArbitraryShapes) {
   EXPECT_THROW(SystemConfig::with_mesh(-4, 4), std::invalid_argument);
 }
 
+// Node ids ride the paper's 16-bit packet source/destination fields.
+TEST(ManyCoreSystem, ValidateCapsTheMeshAtSixteenBitNodeIds) {
+  EXPECT_NO_THROW((void)SystemConfig::with_mesh(256, 256));
+  EXPECT_NO_THROW((void)SystemConfig::with_mesh(32768, 2));
+  EXPECT_THROW((void)SystemConfig::with_mesh(257, 256), std::invalid_argument);
+  EXPECT_THROW((void)SystemConfig::with_mesh(32769, 2), std::invalid_argument);
+  // width * height overflows int; the check must not.
+  EXPECT_THROW((void)SystemConfig::with_mesh(100000, 100000),
+               std::invalid_argument);
+}
+
 TEST(ManyCoreSystem, ValidateCatchesGmOutsideMesh) {
   SystemConfig cfg = SystemConfig::with_mesh(6, 4);
   cfg.gm_node = 23;  // last node: fine

@@ -246,6 +246,22 @@ TEST(HtpbFleetE2e, ListCellsPrintsThePlan) {
   EXPECT_NE(r.err.find("5 cells"), std::string::npos) << r.err;
 }
 
+// htpb_fleet reads --set through the same front end as htpb_run: a
+// malformed override is a usage error (exit 2) that names the field,
+// refused before any cell is planned.
+TEST(HtpbFleetE2e, MalformedSetIsAUsageError) {
+  const TempDir dir("badset");
+  const RunResult range = run_fleet(
+      dir, "timeout 30 ", "--list-cells --set system.epoch_cycles=-1");
+  EXPECT_EQ(range.exit_code, 2) << range.err;
+  EXPECT_NE(range.err.find("system.epoch_cycles"), std::string::npos)
+      << range.err;
+  EXPECT_EQ(range.out, "");
+  const RunResult no_eq = run_fleet(dir, "", "--list-cells --set threads");
+  EXPECT_EQ(no_eq.exit_code, 2) << no_eq.err;
+  EXPECT_NE(no_eq.err.find("key=value"), std::string::npos) << no_eq.err;
+}
+
 TEST(HtpbFleetE2e, MalformedFaultSpecFailsLoudly) {
   const TempDir dir("badfault");
   const RunResult r =

@@ -218,6 +218,16 @@ TEST(HtpbRunE2e, NegativeEpochCyclesIsAUsageErrorNotAHang) {
   EXPECT_NE(r.err.find("system.epoch_cycles"), std::string::npos) << r.err;
 }
 
+// A huge but representable mesh passes the reader; validate() must
+// refuse it, naming the field, before anything is allocated.
+TEST(HtpbRunE2e, OversizedMeshIsRefusedBeforeAllocation) {
+  const TempDir dir;
+  const RunResult r = run_tool(
+      dir, "--scenario table2 --set system.width=100000", "timeout 30 ");
+  EXPECT_EQ(r.exit_code, 1) << r.err;  // timeout's 124 on a hang
+  EXPECT_NE(r.err.find("scenario.system.width"), std::string::npos) << r.err;
+}
+
 TEST(HtpbRunE2e, UnknownArgumentPrintsUsage) {
   const TempDir dir;
   const RunResult r = run_tool(dir, "--scenarios defense-closed-loop");

@@ -35,7 +35,9 @@
 //   --list-cells          print the cell plan and exit
 //
 // Exit status: 0 = every cell done, 1 = failures (merged tree is still
-// written, with the failures listed under "fleet"), 2 = usage.
+// written, with the failures listed under "fleet"), 2 = usage (as in
+// htpb_run, that includes a --set without '=' or with an integer its
+// field cannot hold).
 #include <unistd.h>
 
 #include <chrono>
@@ -214,24 +216,9 @@ int main(int argc, char** argv) {
   try {
     if (scenario_arg.empty()) return usage(argv[0]);
 
-    ScenarioSpec spec = load_scenario(scenario_arg);
-    if (!sets.empty()) {
-      // Same precedence as htpb_run: quick first, --set second.
-      if (quick) spec = spec.with_quick();
-      Value spec_json = spec.to_json();
-      for (const std::string& kv : sets) {
-        const std::size_t eq = kv.find('=');
-        if (eq == std::string::npos || eq == 0) {
-          std::fprintf(stderr, "%s: --set expects key=value, got \"%s\"\n",
-                       argv[0], kv.c_str());
-          return 2;
-        }
-        htpb::scenario::apply_override(spec_json, kv.substr(0, eq),
-                                       kv.substr(eq + 1));
-      }
-      spec = ScenarioSpec::from_json(spec_json);
-      spec.validate();
-    }
+    const ScenarioSpec spec =
+        htpb::scenario::apply_overrides(load_scenario(scenario_arg), quick,
+                                        sets);
     opts.quick = quick;
 
     const ScenarioSpec resolved = htpb::scenario::resolve(spec, opts);
@@ -329,6 +316,9 @@ int main(int argc, char** argv) {
                  report.done, plan.size(), report.resumed, report.failed,
                  report.attempts, out_path.c_str());
     return report.failed == 0 ? 0 : 1;
+  } catch (const htpb::scenario::OverrideError& e) {
+    std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
     return 1;

@@ -192,32 +192,9 @@ int main(int argc, char** argv) {
     if (list) return list_registry();
     if (scenario_arg.empty()) return usage(argv[0]);
 
-    ScenarioSpec spec = load_scenario(scenario_arg);
-    if (!sets.empty()) {
-      // Quick first, --set second: an explicit CLI override must win
-      // over whatever the spec's quick overlay touches.
-      if (quick) spec = spec.with_quick();
-      Value spec_json = spec.to_json();
-      for (const std::string& kv : sets) {
-        const std::size_t eq = kv.find('=');
-        if (eq == std::string::npos || eq == 0) {
-          std::fprintf(stderr, "%s: --set expects key=value, got \"%s\"\n",
-                       argv[0], kv.c_str());
-          return 2;
-        }
-        htpb::scenario::apply_override(spec_json, kv.substr(0, eq),
-                                       kv.substr(eq + 1));
-      }
-      try {
-        spec = ScenarioSpec::from_json(spec_json);
-      } catch (const std::out_of_range& e) {
-        // Like a --seed that is not a non-negative integer: a --set
-        // integer its field cannot hold is a malformed argument.
-        std::fprintf(stderr, "%s: --set: %s\n", argv[0], e.what());
-        return 2;
-      }
-      spec.validate();
-    }
+    const ScenarioSpec spec =
+        htpb::scenario::apply_overrides(load_scenario(scenario_arg), quick,
+                                        sets);
     opts.quick = quick;  // after with_quick() above this is a no-op merge
 
     if (dump_spec) {
@@ -247,6 +224,9 @@ int main(int argc, char** argv) {
     if (!json_path.empty()) emit(result, json_path);
     if (json_path != "-") htpb::scenario::print_report(stdout, spec, result);
     return 0;
+  } catch (const htpb::scenario::OverrideError& e) {
+    std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
     return 1;

@@ -1,7 +1,8 @@
 // Minimal vendored timing harness for the hot-path benches: wall-clock
 // measurement, cycles/sec reporting, a JSON emitter (through the shared
-// common/json utility) and a tolerance-based comparison against a
-// checked-in baseline JSON. No external dependency (ROADMAP:
+// common/json utility) whose header records the host the numbers came
+// from, and a tolerance-based comparison against a checked-in baseline
+// JSON. No external dependency (ROADMAP:
 // libbenchmark-dev is absent on some machines, so the perf trajectory
 // must not hinge on it).
 #pragma once
@@ -13,6 +14,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/json.hpp"
@@ -23,6 +25,38 @@ namespace htpb::bench {
   using clock = std::chrono::steady_clock;
   return std::chrono::duration<double>(clock::now().time_since_epoch())
       .count();
+}
+
+[[nodiscard]] inline std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) == 0) {
+      const std::size_t colon = line.find(':');
+      if (colon != std::string::npos) return line.substr(colon + 2);
+    }
+  }
+  return "unknown";
+}
+
+/// The host header: a rate means little without the machine, compiler,
+/// build type and source revision that produced it. HTPB_BENCH_BUILD_TYPE
+/// and HTPB_BENCH_GIT_DESCRIBE come from bench/CMakeLists.txt.
+[[nodiscard]] inline json::Value host_info() {
+  json::Object h;
+  h["nproc"] =
+      json::Value(static_cast<int>(std::thread::hardware_concurrency()));
+  h["cpu_model"] = json::Value(cpu_model());
+#if defined(__clang__)
+  h["compiler"] = json::Value(std::string("clang ") + __clang_version__);
+#elif defined(__GNUC__)
+  h["compiler"] = json::Value(std::string("gcc ") + __VERSION__);
+#else
+  h["compiler"] = json::Value("unknown");
+#endif
+  h["build_type"] = json::Value(HTPB_BENCH_BUILD_TYPE);
+  h["git_describe"] = json::Value(HTPB_BENCH_GIT_DESCRIBE);
+  return json::Value(std::move(h));
 }
 
 /// One measured workload. `cycles_per_sec` is the figure of merit; the
@@ -78,6 +112,7 @@ class PerfReport {
   bool write_json(const std::string& path) const {
     json::Object root;
     root["benchmark"] = json::Value(benchmark_);
+    root["host"] = host_info();
     json::Array results;
     for (const PerfResult& r : results_) {
       json::Object row;

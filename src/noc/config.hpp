@@ -15,9 +15,11 @@ enum class RoutingKind {
 
 /// Hard caps backing the router's inline storage (flit_fifo.hpp): VC
 /// buffers are fixed-capacity rings and VC state lives in fixed arrays,
-/// so `vcs` / `vc_depth` must fit. Generous vs. Table I's 4 VCs x 5 flits.
-inline constexpr int kMaxVcs = 8;
-inline constexpr int kMaxVcDepth = 8;
+/// so `vcs` / `vc_depth` must fit. Sized exactly to Table I's 4 VCs x
+/// 5 flits: larger caps only pad every router with slots no scenario
+/// uses, and the routers of a big mesh then stop fitting in cache.
+inline constexpr int kMaxVcs = 4;
+inline constexpr int kMaxVcDepth = 5;
 
 struct NocConfig {
   /// Virtual channels per input port (Table I: 4); <= kMaxVcs.

@@ -4,9 +4,10 @@
 // caps VC depth at a handful of flits, so a bounded ring with inline
 // storage beats std::deque's chunked heap allocation on every axis that
 // matters here: zero allocation, contiguous slots, trivially predictable
-// head/tail arithmetic. Capacity is a compile-time power of two (masked
-// wraparound); the credit protocol keeps occupancy <= vc_depth <= kCap,
-// and push/pop assert it.
+// head/tail arithmetic. Capacity is any compile-time size (Table I's
+// 5-flit depth is not a power of two), so indices wrap with one compare
+// instead of a mask; the credit protocol keeps occupancy <= vc_depth <=
+// kCap, and push/pop assert it.
 //
 // DynRingFifo: growable power-of-two ring for the NI inject/eject queues,
 // whose occupancy is workload-dependent (a global-manager grant burst can
@@ -27,8 +28,7 @@ namespace htpb::noc {
 
 template <typename T, int kCap>
 class RingFifo {
-  static_assert(kCap > 0 && (kCap & (kCap - 1)) == 0,
-                "RingFifo capacity must be a power of two");
+  static_assert(kCap > 0, "RingFifo capacity must be positive");
 
  public:
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
@@ -38,27 +38,27 @@ class RingFifo {
 
   [[nodiscard]] T& front() noexcept {
     assert(!empty());
-    return slots_[head_];
+    return slots_[static_cast<std::size_t>(head_)];
   }
   [[nodiscard]] const T& front() const noexcept {
     assert(!empty());
-    return slots_[head_];
+    return slots_[static_cast<std::size_t>(head_)];
   }
 
   /// Element `i` counted from the front (checkpoint enumeration).
   [[nodiscard]] const T& at(int i) const noexcept {
     assert(i >= 0 && i < size_);
-    return slots_[(head_ + static_cast<unsigned>(i)) & kMask];
+    return slots_[wrap(head_ + i)];
   }
 
   void push_back(T&& v) noexcept {
     assert(!full());
-    slots_[(head_ + size_) & kMask] = std::move(v);
+    slots_[wrap(head_ + size_)] = std::move(v);
     ++size_;
   }
   void push_back(const T& v) noexcept {
     assert(!full());
-    slots_[(head_ + size_) & kMask] = v;
+    slots_[wrap(head_ + size_)] = v;
     ++size_;
   }
 
@@ -66,8 +66,8 @@ class RingFifo {
   /// resources (a flit's PacketPtr) releases them now, not at wraparound.
   void pop_front() noexcept {
     assert(!empty());
-    slots_[head_] = T{};
-    head_ = (head_ + 1) & kMask;
+    slots_[static_cast<std::size_t>(head_)] = T{};
+    head_ = head_ + 1 == kCap ? 0 : head_ + 1;
     --size_;
   }
 
@@ -76,10 +76,13 @@ class RingFifo {
   }
 
  private:
-  static constexpr unsigned kMask = static_cast<unsigned>(kCap - 1);
+  /// Maps head_ + offset (offset < kCap, so the sum < 2 * kCap) to a slot.
+  [[nodiscard]] static std::size_t wrap(int i) noexcept {
+    return static_cast<std::size_t>(i >= kCap ? i - kCap : i);
+  }
 
   std::array<T, kCap> slots_{};
-  unsigned head_ = 0;
+  int head_ = 0;
   int size_ = 0;
 };
 

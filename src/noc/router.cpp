@@ -1,7 +1,9 @@
 #include "noc/router.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "common/snapshot.hpp"
@@ -43,10 +45,13 @@ Router::Router(NodeId id, const MeshGeometry& geom, const NocConfig& cfg,
   if (cfg_.vcs < 2 || cfg_.vcs % 2 != 0) {
     throw std::invalid_argument("Router: vcs must be even and >= 2");
   }
-  if (cfg_.vcs > kMaxVcs || cfg_.vc_depth > kMaxVcDepth) {
+  // Depth 0 would start every NI at 0 credits: a mesh that never injects.
+  if (cfg_.vcs > kMaxVcs || cfg_.vc_depth < 1 || cfg_.vc_depth > kMaxVcDepth) {
     throw std::invalid_argument(
-        "Router: vcs/vc_depth exceed the inline-storage caps "
-        "(kMaxVcs/kMaxVcDepth in noc/config.hpp)");
+        "Router: need vcs <= " + std::to_string(kMaxVcs) +
+        " and 1 <= vc_depth <= " + std::to_string(kMaxVcDepth) +
+        " (the Table I inline-storage caps kMaxVcs/kMaxVcDepth in "
+        "noc/config.hpp)");
   }
   for (auto& port : out_) {
     for (int v = 0; v < cfg_.vcs; ++v) {
@@ -69,6 +74,7 @@ void Router::accept_flit(Direction in_port, const Flit& flit, Cycle arrival) {
   if (!ivc.active && ivc.fifo.empty() && flit.is_head) {
     ++iport.rc_pending;
     ++rc_pending_total_;
+    rc_ready_at_ = std::min(rc_ready_at_, arrival + 1);
   }
   ivc.fifo.push_back(BufferedFlit{flit, arrival, false});
   ++buffered_flits_;
@@ -169,6 +175,8 @@ void Router::tick_sa_st(Cycle now, std::vector<LinkTransfer>& transfers,
         if (!ivc.fifo.empty() && ivc.fifo.front().flit.is_head) {
           ++in_[in_pi].rc_pending;
           ++rc_pending_total_;
+          rc_ready_at_ =
+              std::min(rc_ready_at_, ivc.fifo.front().arrival + 1);
         }
       }
       input_used[in_pi] = true;
@@ -246,6 +254,7 @@ void Router::load_state(const json::Value& v, const PacketResolver& resolve) {
   const json::Object& o = v.as_object();
   buffered_flits_ = 0;
   rc_pending_total_ = 0;
+  rc_ready_at_ = 0;  // rescan on the next tick; the scan recomputes it
 
   const json::Array& in_ports = o.find("in")->as_array();
   for (int pi = 0; pi < kNumPorts; ++pi) {
@@ -311,8 +320,11 @@ void Router::run_inspectors(Packet& pkt, Cycle now) {
 void Router::tick_rc_va(Cycle now) {
   // Only input VCs fronted by an unrouted head need RC/VA; their count is
   // tracked by accept_flit / tick_sa_st, so quiet routers and mid-packet
-  // VCs cost nothing here.
-  if (rc_pending_total_ == 0) return;
+  // VCs cost nothing here. Nor does a router whose waiting heads are all
+  // still in buffer write or were scanned to no effect: rc_ready_at_ is
+  // the earliest cycle at which this scan can act on any of them.
+  if (rc_pending_total_ == 0 || now < rc_ready_at_) return;
+  Cycle next_ready = kCycleMax;
   for (int pi = 0; pi < kNumPorts; ++pi) {
     if (in_[pi].rc_pending == 0) continue;
     for (int vi = 0; vi < cfg_.vcs; ++vi) {
@@ -321,7 +333,10 @@ void Router::tick_rc_va(Cycle now) {
       BufferedFlit& front = ivc.fifo.front();
       if (!front.flit.is_head) continue;  // waiting for a stale tail: bug guard
       // One cycle of buffer write before the head enters RC.
-      if (now < front.arrival + 1) continue;
+      if (now < front.arrival + 1) {
+        next_ready = std::min(next_ready, front.arrival + 1);
+        continue;
+      }
 
       Packet& pkt = *front.flit.pkt;
       if (!front.inspected) {
@@ -364,7 +379,9 @@ void Router::tick_rc_va(Cycle now) {
         }
       }
       if (granted < 0) {
+        // Retried every cycle: an output VC may free up in any SA stage.
         ++stats_.va_stalls;
+        next_ready = std::min(next_ready, now + 1);
         continue;
       }
       oport.vcs[static_cast<std::size_t>(granted)].allocated = true;
@@ -384,6 +401,7 @@ void Router::tick_rc_va(Cycle now) {
       --rc_pending_total_;
     }
   }
+  rc_ready_at_ = next_ready;
 }
 
 }  // namespace htpb::noc

@@ -7,12 +7,15 @@
 // the input buffer and route computation -- the attachment point of the
 // paper's hardware Trojan (Fig. 2b).
 //
-// Hot-path layout: VC state lives in fixed-size inline arrays (no
-// per-router heap graph), input FIFOs are bounded rings (flit_fifo.hpp),
-// and each output port keeps the list of input VCs currently routed to it
-// so switch allocation only examines real candidates instead of scanning
-// all kNumPorts x vcs combinations -- while granting in exactly the same
-// round-robin order as the full scan did.
+// Hot-path layout: VC state lives in fixed-size inline arrays sized
+// exactly to Table I (kMaxVcs x kMaxVcDepth = 4 x 5, noc/config.hpp), so a
+// router is one dense ~4.4 KB block with no per-router heap graph; input
+// FIFOs are bounded rings (flit_fifo.hpp), and each output port keeps the
+// list of input VCs currently routed to it so switch allocation only
+// examines real candidates instead of scanning all kNumPorts x vcs
+// combinations -- while granting in exactly the same round-robin order as
+// the full scan did. RC/VA is skipped outright until the earliest cycle a
+// waiting head can be routed (rc_ready_at_).
 #pragma once
 
 #include <array>
@@ -197,6 +200,8 @@ class Router {
   RouterStats stats_;
   std::uint64_t buffered_flits_ = 0;
   int rc_pending_total_ = 0;  // sum of InputPort::rc_pending
+  // snapshot-exempt: derived lower bound on the next useful RC/VA cycle; load_state resets it so the first tick rescans
+  Cycle rc_ready_at_ = 0;
 };
 
 }  // namespace htpb::noc

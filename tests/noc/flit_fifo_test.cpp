@@ -1,7 +1,7 @@
 // Unit tests for the fixed-capacity ring buffer backing router input VCs:
-// wraparound, full/empty transitions, slot reset on pop, and the
-// credit-interplay pattern (depth < capacity, occupancy bounded by the
-// credit loop).
+// wraparound (including non-power-of-two capacities), full/empty
+// transitions, slot reset on pop, and the credit-interplay pattern
+// (occupancy bounded by the credit loop, at and below capacity).
 #include "noc/flit_fifo.hpp"
 
 #include <gtest/gtest.h>
@@ -72,13 +72,12 @@ TEST(RingFifo, PopResetsSlotAndReleasesOwnership) {
   EXPECT_EQ(pkt->ctrl.refs, 1u);
 }
 
-TEST(RingFifo, CreditInterplayDepthBelowCapacity) {
-  // Router buffers run at vc_depth (5) inside capacity-8 rings; the
-  // credit loop keeps occupancy <= depth. Emulate it: `credits` starts at
-  // depth, each push consumes one, each pop returns one -- occupancy can
-  // then never exceed depth even through sustained wraparound.
-  RingFifo<int, kMaxVcDepth> f;
-  const int depth = 5;
+/// The router's credit loop: `credits` starts at `depth`, each push
+/// consumes one, each pop returns one -- so occupancy can never exceed
+/// depth, even through sustained wraparound.
+template <int kCap>
+void run_credit_interplay(int depth) {
+  RingFifo<int, kCap> f;
   int credits = depth;
   int pushed = 0;
   int popped = 0;
@@ -87,6 +86,7 @@ TEST(RingFifo, CreditInterplayDepthBelowCapacity) {
     if (can_push && (step % 3 != 2)) {  // push-biased schedule
       f.push_back(pushed++);
       --credits;
+      EXPECT_EQ(f.at(f.size() - 1), pushed - 1);
     } else if (!f.empty()) {
       EXPECT_EQ(f.front(), popped);
       f.pop_front();
@@ -97,6 +97,19 @@ TEST(RingFifo, CreditInterplayDepthBelowCapacity) {
     ASSERT_EQ(f.size(), pushed - popped);
   }
   EXPECT_GT(pushed, 300);  // the schedule actually moved data
+}
+
+TEST(RingFifo, CreditInterplayDepthBelowCapacity) {
+  // A ring wider than the credit depth (vc_depth below the ring size).
+  run_credit_interplay<8>(5);
+}
+
+TEST(RingFifo, CreditInterplayAtTableICapacity) {
+  // Router buffers are capacity-5 rings (kMaxVcDepth, Table I) run at
+  // vc_depth 5: a ring that fills, whose non-power-of-two index wraps by
+  // compare.
+  static_assert(kMaxVcDepth == 5);
+  run_credit_interplay<kMaxVcDepth>(5);
 }
 
 }  // namespace

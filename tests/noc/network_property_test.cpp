@@ -1,6 +1,7 @@
 // Property-style sweeps: across mesh sizes, routing algorithms and seeds,
 // uniform-random traffic must be fully delivered, in bounded time, with no
-// buffer-overflow (asserted in Router) and conserved packet counts.
+// buffer-overflow (asserted in Router), conserved packet counts, and --
+// once drained -- every credit back home and every packet released.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -19,6 +20,8 @@ struct PropertyParam {
   RoutingKind routing;
   std::uint64_t seed;
   int packets;
+  int vcs = 4;       // Table I
+  int vc_depth = 5;  // Table I
 };
 
 class NetworkPropertyTest : public ::testing::TestWithParam<PropertyParam> {};
@@ -29,6 +32,8 @@ TEST_P(NetworkPropertyTest, UniformRandomTrafficFullyDelivered) {
   MeshGeometry geom(p.width, p.height);
   NocConfig cfg;
   cfg.routing = p.routing;
+  cfg.vcs = p.vcs;
+  cfg.vc_depth = p.vc_depth;
   MeshNetwork net(engine, geom, cfg);
 
   std::map<PacketId, int> outstanding;
@@ -64,6 +69,25 @@ TEST_P(NetworkPropertyTest, UniformRandomTrafficFullyDelivered) {
 
   // Conservation: every delivered packet was also counted by the mesh.
   EXPECT_EQ(net.stats().packets_delivered, static_cast<std::uint64_t>(delivered));
+
+  // Flit/credit conservation: a drained mesh holds every buffer slot's
+  // credit upstream -- each wired router output VC and each NI VC is back
+  // at vc_depth -- and no packet is left alive.
+  for (NodeId n = 0; n < static_cast<NodeId>(geom.node_count()); ++n) {
+    for (int port = 0; port < kNumPorts; ++port) {
+      const auto dir = static_cast<Direction>(port);
+      if (!net.router(n).port_connected(dir)) continue;
+      for (int vc = 0; vc < p.vcs; ++vc) {
+        EXPECT_EQ(net.router(n).output_credits(dir, vc), p.vc_depth)
+            << "router " << n << " port " << port << " vc " << vc;
+      }
+    }
+    for (int vc = 0; vc < p.vcs; ++vc) {
+      EXPECT_EQ(net.ni(n).credits(vc), p.vc_depth)
+          << "NI " << n << " vc " << vc;
+    }
+  }
+  EXPECT_EQ(net.packet_pool().live(), 0U);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -80,7 +104,11 @@ INSTANTIATE_TEST_SUITE_P(
         PropertyParam{8, 8, RoutingKind::kWestFirstAdaptive, 9, 400},
         PropertyParam{6, 3, RoutingKind::kWestFirstAdaptive, 10, 200},
         PropertyParam{16, 16, RoutingKind::kXY, 11, 600},
-        PropertyParam{16, 16, RoutingKind::kWestFirstAdaptive, 12, 600}));
+        PropertyParam{16, 16, RoutingKind::kWestFirstAdaptive, 12, 600},
+        // Non-Table-I VC shapes inside the inline-storage caps.
+        PropertyParam{4, 4, RoutingKind::kXY, 13, 200, 2, 1},
+        PropertyParam{4, 4, RoutingKind::kXY, 14, 200, 2, 3},
+        PropertyParam{6, 6, RoutingKind::kWestFirstAdaptive, 15, 300, 4, 2}));
 
 class LatencyBoundTest
     : public ::testing::TestWithParam<std::tuple<int, RoutingKind>> {};

@@ -1,9 +1,11 @@
 // Router-level behaviour observed through a tiny 2x1 network: pipeline
-// latency, credit backpressure, inspector invocation point.
+// latency, credit backpressure, inspector invocation point; plus the
+// constructor's VC-shape checks and RC/VA timing on a lone router.
 #include "noc/router.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "noc/network.hpp"
@@ -169,6 +171,85 @@ TEST(Router, RejectsOddVcCount) {
   cfg.vcs = 3;
   XyRouting xy;
   EXPECT_THROW(Router(0, geom, cfg, &xy), std::invalid_argument);
+}
+
+TEST(Router, RejectsVcShapesOutsideTableICaps) {
+  // Depth 0 would start every NI with 0 credits (a mesh that silently
+  // never injects); depth 6 and 6 VCs overflow the inline storage.
+  MeshGeometry geom(2, 1);
+  XyRouting xy;
+  const auto rejects = [&](int vcs, int vc_depth) {
+    NocConfig cfg;
+    cfg.vcs = vcs;
+    cfg.vc_depth = vc_depth;
+    EXPECT_THROW(Router(0, geom, cfg, &xy), std::invalid_argument)
+        << "vcs=" << vcs << " vc_depth=" << vc_depth;
+  };
+  rejects(4, 0);
+  rejects(4, 6);
+  rejects(6, 5);
+  NocConfig table1;
+  table1.vcs = kMaxVcs;
+  table1.vc_depth = kMaxVcDepth;
+  EXPECT_NO_THROW(Router(0, geom, table1, &xy));
+}
+
+/// Router 0 of a 2x1 mesh, east port wired, driven stage by stage.
+struct LoneRouter {
+  MeshGeometry geom{2, 1};
+  NocConfig cfg;
+  XyRouting xy;
+  Router router{0, geom, cfg, &xy};
+
+  LoneRouter() { router.set_port_connected(Direction::kEast, true); }
+
+  /// Buffers the head flit of a 5-flit packet bound east on input VC `vc`.
+  void accept_head(Direction in_port, int vc, Cycle arrival) {
+    PacketPtr pkt = make_heap_packet();
+    pkt->src = 0;
+    pkt->dst = 1;
+    pkt->type = PacketType::kMemReply;
+    pkt->size_flits = 5;
+    Flit flit;
+    flit.pkt = pkt;
+    flit.is_head = true;
+    flit.vc = static_cast<std::int8_t>(vc);
+    router.accept_flit(in_port, flit, arrival);
+  }
+};
+
+TEST(Router, HeadIsRoutedTheCycleAfterItArrives) {
+  // One cycle of buffer write: a head accepted with arrival t is invisible
+  // to RC/VA at t and routed at t+1. The RC/VA skip relies on exactly this.
+  LoneRouter r;
+  const Cycle t = 10;
+  r.accept_head(Direction::kLocal, 0, t);
+  r.router.tick_rc_va(t - 1);
+  r.router.tick_rc_va(t);
+  EXPECT_EQ(r.router.stats().packets_routed, 0U);
+  EXPECT_EQ(r.router.stats().va_stalls, 0U);
+  r.router.tick_rc_va(t + 1);
+  EXPECT_EQ(r.router.stats().packets_routed, 1U);
+  EXPECT_EQ(r.router.stats().va_stalls, 0U);
+}
+
+TEST(Router, VaStalledHeadRetriesEveryCycle) {
+  // Two heads take both class-1 VCs of the east port; a third head of the
+  // same class stalls in VA and must be retried (and counted) on every
+  // cycle -- skipping RC/VA may never swallow a retry.
+  LoneRouter r;
+  r.accept_head(Direction::kLocal, 2, 0);
+  r.accept_head(Direction::kLocal, 3, 0);
+  r.router.tick_rc_va(1);
+  ASSERT_EQ(r.router.stats().packets_routed, 2U);
+  r.accept_head(Direction::kWest, 2, 4);
+  r.router.tick_rc_va(4);
+  EXPECT_EQ(r.router.stats().va_stalls, 0U);  // still in buffer write
+  for (Cycle c = 5; c < 12; ++c) {
+    r.router.tick_rc_va(c);
+    EXPECT_EQ(r.router.stats().va_stalls, c - 4) << "cycle " << c;
+  }
+  EXPECT_EQ(r.router.stats().packets_routed, 2U);
 }
 
 }  // namespace
